@@ -10,15 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+from contextlib import contextmanager
 
 from . import spaces
-from .core import BlockDims, eval_transfer
-from .errors import PencilError, PoleError, SolverFailure
+from .core import BlockDims
+from .errors import PencilError
 from .io import (
     decode_matrix,
     decode_vector,
+    encode_vector,
     load_pencil,
     load_problem,
     pencil_to_dict,
@@ -47,8 +47,7 @@ _SOURCES = {
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj) + "\n")
 
 
 def _build_from_source(R, source, space, options):
@@ -65,10 +64,10 @@ def _build_from_source(R, source, space, options):
     ansatz = options.get("ansatz")
     if not isinstance(ansatz, dict):
         raise ValueError("explicit source needs an \"ansatz\" object in the problem options")
-    v = decode_vector(ansatz["v"])
-    w = decode_vector(ansatz["w"])
-    W = decode_matrix(ansatz["W"]) if ansatz.get("W") else None
-    W1 = decode_matrix(ansatz["W1"]) if ansatz.get("W1") else None
+    v = decode_vector(ansatz["v"], "options.ansatz.v")
+    w = decode_vector(ansatz["w"], "options.ansatz.w")
+    W = decode_matrix(ansatz["W"], "options.ansatz.W") if ansatz.get("W") else None
+    W1 = decode_matrix(ansatz["W1"], "options.ansatz.W1") if ansatz.get("W1") else None
     if space == spaces.SPACE_L2G:
         return spaces.build_pencil_L2(R, v, w, W, W1)
     return spaces.build_pencil_L1(R, v, w, W, W1, space=space)
@@ -89,91 +88,70 @@ def _parse_basis(token: str, d: int):
     raise ValueError(f"unknown basis {token!r}")
 
 
-def cmd_build(args) -> int:
+@contextmanager
+def _reading():
+    """Library errors raised while reading input are input errors (exit 2)."""
     try:
-        R, options = load_problem(args.input)
-    except (OSError, ValueError, json.JSONDecodeError, PencilError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        P = _build_from_source(R, _SOURCES[args.source], args.space, options)
-        if args.basis != "monomial":
-            if P.space not in (spaces.SPACE_L1G,):
-                raise ValueError("non-monomial bases apply to first-space pencils only")
-            from .basis import build_L1_tilde
-
-            P = build_L1_tilde(R, _parse_basis(args.basis, R.m),
-                               _parse_basis(args.basis, R.k), P.v, P.w, P.W, P.W1)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        yield
     except PencilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        raise ValueError(str(exc)) from exc
+
+
+def cmd_build(args) -> int:
+    with _reading():
+        R, options = load_problem(args.input)
+    P = _build_from_source(R, _SOURCES[args.source], args.space, options)
+    if args.basis != "monomial":
+        if P.space not in (spaces.SPACE_L1G,):
+            raise ValueError("non-monomial bases apply to first-space pencils only")
+        from .basis import build_L1_tilde
+
+        P = build_L1_tilde(R, _parse_basis(args.basis, R.m),
+                           _parse_basis(args.basis, R.k), P.v, P.w, P.W, P.W1)
     save_json(args.output, pencil_to_dict(P))
     return EXIT_PASS
 
 
-def _to_monomial(P, R, basis_token):
-    if basis_token == "monomial":
-        return P
-    from .basis import tilde_to_monomial
-
-    return tilde_to_monomial(P, _parse_basis(basis_token, R.m),
-                             _parse_basis(basis_token, R.k))
-
-
-def cmd_verify(args) -> int:
-    try:
+def _load_pencil_and_problem(args):
+    """The pencil (in the monomial basis) and realization a verb works on."""
+    with _reading():
         P = load_pencil(args.pencil)
         R, _ = load_problem(args.input)
         if P.dims != R.dims:
             raise ValueError(f"pencil dims {P.dims} do not match problem dims {R.dims}")
-        P = _to_monomial(P, R, args.basis)
-    except (OSError, ValueError, json.JSONDecodeError, PencilError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if args.basis == "monomial":
+            return P, R
+        from .basis import tilde_to_monomial
+
+        return tilde_to_monomial(P, _parse_basis(args.basis, R.m),
+                                 _parse_basis(args.basis, R.k)), R
+
+
+def cmd_verify(args) -> int:
+    P, R = _load_pencil_and_problem(args)
     tol_eig = args.tol_eig * (0.5 if args.strict else 1.0)
     tol_res = (args.tol * (0.5 if args.strict else 1.0)) if args.tol else None
-    try:
-        report = verify_linearization(P, R, tol_res=tol_res, tol_eig=tol_eig)
-    except PencilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    report = verify_linearization(P, R, tol_res=tol_res, tol_eig=tol_eig)
     _emit(report.to_dict())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def cmd_solve(args) -> int:
-    try:
-        P = load_pencil(args.pencil)
-        R, _ = load_problem(args.input)
-        if P.dims != R.dims:
-            raise ValueError(f"pencil dims {P.dims} do not match problem dims {R.dims}")
-        P = _to_monomial(P, R, args.basis)
-    except (OSError, ValueError, json.JSONDecodeError, PencilError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        eigs = solve_pencil(P.X, P.Y)
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    recover = recover_left if P.space == spaces.SPACE_L2G else recover_right
+    P, R = _load_pencil_and_problem(args)
+    # second-space pencils carry y in their left eigenvectors, the others x
+    # in their right ones; only that side is computed
+    left = P.space == spaces.SPACE_L2G
+    eigs = solve_pencil(P.X, P.Y, left=left, right=not left)
+    recover = recover_left if left else recover_right
+    vecs = eigs.left if left else eigs.right
     out = {"eigenvalues": [], "eigenvectors": [], "residuals": []}
     for i, lam in enumerate(eigs.eigenvalues):
-        u = eigs.left[:, i] if P.space == spaces.SPACE_L2G else eigs.right[:, i]
         out["eigenvalues"].append([lam.real, lam.imag])
         try:
-            rec = recover(u, P.dims, R, lam)
-            G = eval_transfer(R, lam)
-            if P.space == spaces.SPACE_L2G:
-                res = float(np.linalg.norm(rec.x.conj() @ G))
-            else:
-                res = float(np.linalg.norm(G @ rec.x))
-            out["eigenvectors"].append([[z.real, z.imag] for z in rec.x])
-            out["residuals"].append(res)
-        except (PoleError, PencilError):
+            rec = recover(vecs[:, i], P.dims, R, lam)
+            out["eigenvectors"].append(encode_vector(rec.x))
+            out["residuals"].append(rec.transfer_residual)
+        except PencilError:
             out["eigenvectors"].append(None)
             out["residuals"].append(None)
     _emit(out)
@@ -181,22 +159,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    try:
+    with _reading():
         R, _ = load_problem(args.input)
-    except (OSError, ValueError, json.JSONDecodeError, PencilError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     passes = []
-    try:
-        for i in range(args.count):
-            P = spaces.sample_space(R, seed=args.seed + i, space=args.space)
-            if args.output:
-                save_json(f"{args.output}_{i:03d}.json", pencil_to_dict(P))
-            report = verify_linearization(P, R)
-            passes.append(report.passed)
-    except PencilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    for i in range(args.count):
+        P = spaces.sample_space(R, seed=args.seed + i, space=args.space)
+        if args.output:
+            save_json(f"{args.output}_{i:03d}.json", pencil_to_dict(P))
+        passes.append(verify_linearization(P, R).passed)
     summary = {
         "count": args.count,
         "pass_rate": (sum(passes) / len(passes)) if passes else None,
@@ -208,11 +178,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    try:
+    with _reading():
         dims = BlockDims(args.m, args.n, args.k, args.r)
-    except PencilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     _emit(spaces.dim_space(dims))
     return EXIT_PASS
 
@@ -274,7 +241,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, PencilError) as exc:  # JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE if isinstance(exc, PencilError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

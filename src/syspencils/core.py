@@ -243,22 +243,24 @@ def build_system_matrix(R: Realization) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(coeffs))
 
 
-def solve_state(R: Realization, lam: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A(lambda) x = rhs``; raises PoleError near a pole."""
+def _guarded_state(R: Realization, lam: complex) -> np.ndarray:
+    """``A(lambda)``, after the pole guard: raises PoleError when its smallest
+    singular value is below ``POLE_RTOL`` relative to the largest, floored at 1."""
     Alam = eval_polymat(R.A, lam)
     sv = np.linalg.svd(Alam, compute_uv=False)
     if sv[-1] < POLE_RTOL * max(sv[0], 1.0):
         raise PoleError(f"A(lambda) is singular to tolerance at lambda={lam}")
-    return np.linalg.solve(Alam, rhs)
+    return Alam
+
+
+def solve_state(R: Realization, lam: complex, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A(lambda) x = rhs``; raises PoleError near a pole."""
+    return np.linalg.solve(_guarded_state(R, lam), rhs)
 
 
 def solve_state_left(R: Realization, lam: complex, lhs: np.ndarray) -> np.ndarray:
     """Solve ``x A(lambda) = lhs`` (returns ``lhs A(lambda)^{-1}``)."""
-    Alam = eval_polymat(R.A, lam)
-    sv = np.linalg.svd(Alam, compute_uv=False)
-    if sv[-1] < POLE_RTOL * max(sv[0], 1.0):
-        raise PoleError(f"A(lambda) is singular to tolerance at lambda={lam}")
-    return np.linalg.solve(Alam.T, lhs.T).T
+    return np.linalg.solve(_guarded_state(R, lam).T, lhs.T).T
 
 
 def eval_transfer(R: Realization, lam: complex) -> np.ndarray:

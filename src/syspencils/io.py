@@ -9,6 +9,7 @@ neutral.  Both file kinds carry a ``"format": 1`` version field.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -33,38 +34,51 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def encode_matrix(M) -> list:
+    """Nested lists of ``[re, im]`` float pairs, one per entry of ``M``."""
+    M = np.asarray(M, dtype=complex)
+    return np.stack([M.real, M.imag], -1).tolist()
+
+
+def decode_matrix(data, name: str = "matrix") -> np.ndarray:
+    """Complex matrix from rows of ``[re, im]`` pairs, bit exact.
+
+    Raises ValueError naming ``name`` unless ``data`` is a non-empty,
+    rectangular nesting of number pairs, all finite.  The pairs are
+    flattened into one array conversion.
+    """
+    try:
+        widths = {len(row) for row in data}
+        pairs = list(chain.from_iterable(data))
+        flat = np.array(list(chain.from_iterable(pairs)))
+        ok = (isinstance(data, list) and len(widths) == 1 and len(pairs) > 0
+              and set(map(len, pairs)) == {2} and flat.ndim == 1
+              and flat.dtype.kind in "biuf")
+    except (TypeError, ValueError):  # a bare number where a list belongs
+        ok = False
+    if not ok:
+        raise ValueError(f"{name}: expected a non-empty nested array of [re, im] pairs")
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"{name}: entries must be finite numbers")
+    return flat.astype(float).view(complex).reshape(len(data), -1)
 
 
 def encode_vector(v) -> list:
-    return [_pair(z) for z in np.asarray(v).reshape(-1)]
+    return encode_matrix(np.asarray(v).reshape(-1))
 
 
-def decode_vector(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
-
-
-def encode_matrix(M) -> list:
-    M = np.asarray(M)
-    return [[_pair(z) for z in row] for row in M]
-
-
-def decode_matrix(data) -> np.ndarray:
-    if not isinstance(data, list) or not data or not isinstance(data[0], list):
-        raise ValueError("matrix must be a non-empty nested array")
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+def decode_vector(data, name: str = "vector") -> np.ndarray:
+    return decode_matrix([data], name)[0]
 
 
 def encode_polymat(P: MatrixPolynomial) -> list:
     return [encode_matrix(c) for c in P.coeffs]
 
 
-def decode_polymat(data) -> MatrixPolynomial:
+def decode_polymat(data, name: str = "matrix polynomial") -> MatrixPolynomial:
     if not isinstance(data, list) or not data:
-        raise ValueError("matrix polynomial must be a non-empty array of matrices")
-    return MatrixPolynomial(tuple(decode_matrix(c) for c in data))
+        raise ValueError(f"{name}: matrix polynomial must be a non-empty array of matrices")
+    return MatrixPolynomial(tuple(decode_matrix(c, f"{name}[{j}]") for j, c in enumerate(data)))
 
 
 def _check_format(obj: dict, what: str):
@@ -94,10 +108,10 @@ def problem_from_dict(obj: dict) -> tuple[Realization, dict]:
     try:
         raw = obj["realization"]
         R = Realization(
-            A=decode_polymat(raw["A"]),
-            B=decode_matrix(raw["B"]),
-            C=decode_matrix(raw["C"]),
-            D=decode_polymat(raw["D"]),
+            A=decode_polymat(raw["A"], "realization.A"),
+            B=decode_matrix(raw["B"], "realization.B"),
+            C=decode_matrix(raw["C"], "realization.C"),
+            D=decode_polymat(raw["D"], "realization.D"),
         )
     except KeyError as exc:
         raise ValueError(f"problem file misses field {exc}") from exc
@@ -124,12 +138,12 @@ def pencil_from_dict(obj: dict) -> AnsatzPencil:
         if space not in SPACES:
             raise ValueError(f"unknown space tag {space!r}")
         return AnsatzPencil(
-            X=decode_matrix(obj["X"]),
-            Y=decode_matrix(obj["Y"]),
+            X=decode_matrix(obj["X"], "X"),
+            Y=decode_matrix(obj["Y"], "Y"),
             dims=dims,
             space=space,
-            v=decode_vector(obj["v"]),
-            w=decode_vector(obj["w"]),
+            v=decode_vector(obj["v"], "v"),
+            w=decode_vector(obj["w"], "w"),
         )
     except KeyError as exc:
         raise ValueError(f"pencil file misses field {exc}") from exc
@@ -146,6 +160,7 @@ def load_pencil(path) -> AnsatzPencil:
 
 
 def save_json(path, obj: dict):
+    """Write ``obj`` as compact JSON (one line, the C encoder)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
+        fh.write(json.dumps(obj))
         fh.write("\n")

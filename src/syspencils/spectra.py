@@ -27,13 +27,13 @@ from .core import (
     lambda_vector,
     realization_scale,
     solve_state,
+    solve_state_left,
 )
 from .errors import (
     DegenerateVector,
     DimensionError,
     InterpolationError,
     NotAMember,
-    PoleError,
     SingularSystem,
     SolverFailure,
     ZeroAnsatz,
@@ -158,11 +158,14 @@ def _pencil_is_regular(X: np.ndarray, Y: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class PencilEigs:
-    """Finite eigentriples of a pencil, unit-norm eigenvectors columnwise."""
+    """Finite eigentriples of a pencil, unit-norm eigenvectors columnwise.
+
+    A side that was not asked of :func:`solve_pencil` is None.
+    """
 
     eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
+    right: np.ndarray | None
+    left: np.ndarray | None
 
 
 def pencil_eigvals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -177,14 +180,15 @@ def pencil_eigvals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return alpha[finite] / beta[finite]
 
 
-def solve_pencil(X, Y=None) -> PencilEigs:
+def solve_pencil(X, Y=None, *, left: bool = True, right: bool = True) -> PencilEigs:
     """Finite eigenvalues and eigenvectors of ``lambda X + Y``.
 
     Delegates to the QZ solver for the pair (Y, -X), so that
     ``(lambda X + Y) u = 0`` and ``y* (lambda X + Y) = 0`` hold for the
     returned right/left vectors.  Eigenvalues with
     ``|beta| <= INF_EIG_RTOL * ||(alpha, beta)||`` are treated as infinite
-    and dropped.
+    and dropped.  ``left=False`` or ``right=False`` skips computing that
+    side's eigenvectors, which is then None.
     """
     if Y is None:
         X, Y = X.X, X.Y
@@ -193,17 +197,16 @@ def solve_pencil(X, Y=None) -> PencilEigs:
     if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionError("pencil coefficients must be square and of equal shape")
     try:
-        ab, vl, vr = scipy.linalg.eig(Y, -X, left=True, right=True, homogeneous_eigvals=True)
+        ab, *vecs = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
         raise SolverFailure(str(exc)) from exc
     alpha, beta = ab[0], ab[1]
     finite = np.abs(beta) > INF_EIG_RTOL * np.hypot(np.abs(alpha), np.abs(beta))
-    lam = alpha[finite] / beta[finite]
-    right = vr[:, finite]
-    left = vl[:, finite]
-    right = right / np.maximum(np.linalg.norm(right, axis=0), 1e-300)
-    left = left / np.maximum(np.linalg.norm(left, axis=0), 1e-300)
-    return PencilEigs(eigenvalues=lam, right=right, left=left)
+    vecs = [V[:, finite] / np.maximum(np.linalg.norm(V[:, finite], axis=0), 1e-300)
+            for V in vecs]  # scipy returns the left vectors first
+    vl = vecs.pop(0) if left else None
+    vr = vecs.pop(0) if right else None
+    return PencilEigs(eigenvalues=alpha[finite] / beta[finite], right=vr, left=vl)
 
 
 def _eig_distance(a: complex, b: complex) -> float:
@@ -398,7 +401,7 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
         return fail("pencil is singular (det vanishes identically)",
                     ansatz_residual=res, full_z_rank=flags)
 
-    eigs = solve_pencil(P.X, P.Y)
+    eigs = solve_pencil(P.X, P.Y, left=False)
     if eigs.eigenvalues.size != zeros.size:
         return fail(
             f"eigenvalue count mismatch: pencil has {eigs.eigenvalues.size} finite, "
@@ -425,49 +428,54 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
         ansatz_residual=res, full_z_rank=flags)
 
 
+def _lift(R: Realization, x: np.ndarray, lam0: complex, left: bool):
+    """The lifted pencil eigenvector of ``x`` and G(lam0), from one guarded solve.
+
+    Right: ``[Lambda_{m-1} kron A(lam0)^{-1} B x ; Lambda_{k-1} kron x]``;
+    left: ``[conj(Lambda) kron (-C A(lam0)^{-1})* x ; conj(Lambda) kron x]``.
+    """
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    powers_m, powers_k = lambda_vector(R.m, lam0), lambda_vector(R.k, lam0)
+    if left:
+        W = solve_state_left(R, lam0, R.C)  # C A(lam0)^{-1}
+        top, G = -W.conj().T @ x, W @ R.B + eval_polymat(R.D, lam0)
+        powers_m, powers_k = powers_m.conj(), powers_k.conj()
+    else:
+        F = solve_state(R, lam0, R.B)  # A(lam0)^{-1} B
+        top, G = F @ x, R.C @ F + eval_polymat(R.D, lam0)
+    return np.concatenate([np.outer(powers_m, top).ravel(), np.outer(powers_k, x).ravel()]), G
+
+
 def lift_right(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
     """Lift a transfer-function null vector to pencil eigenvector shape.
 
     Returns ``[Lambda_{m-1} kron A(lam0)^{-1} B x ; Lambda_{k-1} kron x]``.
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    top = solve_state(R, lam0, R.B @ x)
-    return np.concatenate([
-        np.kron(lambda_vector(R.m, lam0), top),
-        np.kron(lambda_vector(R.k, lam0), x),
-    ])
-
-
-def _solve_adjoint(R: Realization, lam0: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A(lam0)* z = rhs`` with the pole guard of the forward solve."""
-    Alam = eval_polymat(R.A, lam0)
-    sv = np.linalg.svd(Alam, compute_uv=False)
-    if sv[-1] < 1e-12 * max(sv[0], 1.0):
-        raise PoleError(f"A(lambda) is singular to tolerance at lambda={lam0}")
-    return np.linalg.solve(Alam.conj().T, rhs)
+    return _lift(R, x, lam0, left=False)[0]
 
 
 def lift_left(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
     """Left analogue: ``[conj(Lambda) kron (-C A^{-1})* y ; conj(Lambda) kron y]``."""
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    top = -_solve_adjoint(R, lam0, R.C.conj().T @ y)
-    return np.concatenate([
-        np.kron(lambda_vector(R.m, lam0).conj(), top),
-        np.kron(lambda_vector(R.k, lam0).conj(), y),
-    ])
+    return _lift(R, y, lam0, left=True)[0]
 
 
 @dataclass(frozen=True)
 class RecoveredVector:
-    """Eigenvector recovered from a lifted pencil eigenvector."""
+    """Eigenvector recovered from a lifted pencil eigenvector.
+
+    ``transfer_residual`` is ``||G(lam0) x||`` for a right vector and
+    ``||x* G(lam0)||`` for a left one; the solve with A(lam0) that lifts
+    ``x`` also gives G(lam0).
+    """
 
     x: np.ndarray
     structural_residual: float
+    transfer_residual: float
     used_fallback: bool = False
 
 
 def _recover(u: np.ndarray, dims: BlockDims, R: Realization, lam0: complex,
-             lift, conj_powers: bool) -> RecoveredVector:
+             left: bool) -> RecoveredVector:
     u = np.asarray(u, dtype=complex).reshape(-1)
     if u.shape != (dims.size,):
         raise DimensionError(f"vector length must be {dims.size}")
@@ -484,17 +492,19 @@ def _recover(u: np.ndarray, dims: BlockDims, R: Realization, lam0: complex,
         blocks = bottom.reshape(k, r)
         j = int(np.argmax(np.linalg.norm(blocks, axis=1)))
         power = lam0 ** (k - 1 - j)
-        if conj_powers:
+        if left:
             power = np.conj(power)
         if np.linalg.norm(blocks[j]) <= 1e-12 * norm_u or abs(power) < 1e-300:
             raise DegenerateVector("no block of the bottom partition is usable")
         trailing = blocks[j] / power
         used_fallback = True
     x = trailing / np.linalg.norm(trailing)
-    L = lift(R, x, lam0)
+    L, G = _lift(R, x, lam0, left)
     c = np.vdot(u, L) / np.vdot(u, u)
     residual = float(np.linalg.norm(c * u - L))
-    return RecoveredVector(x=x, structural_residual=residual, used_fallback=used_fallback)
+    transfer = float(np.linalg.norm(x.conj() @ G if left else G @ x))
+    return RecoveredVector(x=x, structural_residual=residual, transfer_residual=transfer,
+                           used_fallback=used_fallback)
 
 
 def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
@@ -506,13 +516,13 @@ def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
     norm and the structural residual reports the distance of ``u`` to the
     lifted form at the best scale.
     """
-    return _recover(u, dims, R, lam0, lift_right, conj_powers=False)
+    return _recover(u, dims, R, lam0, left=False)
 
 
 def recover_left(u: np.ndarray, dims: BlockDims, R: Realization,
                  lam0: complex) -> RecoveredVector:
     """Left analogue of :func:`recover_right` (conjugated power stack)."""
-    return _recover(u, dims, R, lam0, lift_left, conj_powers=True)
+    return _recover(u, dims, R, lam0, left=True)
 
 
 def f_map(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
@@ -527,4 +537,4 @@ def f_map(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
 def g_map(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
     """Null-space map ``y -> [(-C A(lam0)^{-1})* y ; y]`` for left vectors."""
     y = np.asarray(y, dtype=complex).reshape(-1)
-    return np.concatenate([-_solve_adjoint(R, lam0, R.C.conj().T @ y), y])
+    return np.concatenate([-solve_state_left(R, lam0, y.conj() @ R.C).conj(), y])

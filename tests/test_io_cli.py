@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from syspencils.io import (
     decode_matrix,
     encode_matrix,
     load_pencil,
+    load_problem,
     pencil_from_dict,
     pencil_to_dict,
     problem_from_dict,
@@ -231,3 +235,115 @@ def test_cli_basis_build_and_verify(tmp_path, capsys):
                  "--basis", "chebyshev"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "pass"
+
+
+def _run_cli(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    import syspencils
+
+    src = os.path.dirname(os.path.dirname(syspencils.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "syspencils.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_non_finite_problem_is_input_error(tmp_path):
+    obj = problem_to_dict(_r2())
+    obj["realization"]["A"][1][0][0] = [float("nan"), 0.0]
+    prob = tmp_path / "nan.json"
+    prob.write_text(json.dumps(obj))  # json writes the bare NaN literal
+    done = _run_cli("build", "--input", str(prob), "--output", str(tmp_path / "x.json"))
+    assert done.returncode == 2
+    assert "realization.A[1]" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_cli_bare_number_for_pair_is_input_error(tmp_path):
+    obj = problem_to_dict(_r1())
+    obj["realization"]["B"][0][0] = 1.0
+    prob = tmp_path / "bare.json"
+    prob.write_text(json.dumps(obj))
+    done = _run_cli("build", "--input", str(prob), "--output", str(tmp_path / "x.json"))
+    assert done.returncode == 2
+    assert "realization.B" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("X", [float("inf"), 0.0]),
+    ("Y", 2.5),
+])
+def test_cli_bad_pencil_entry_is_input_error(tmp_path, capsys, field, value):
+    prob = tmp_path / "r1.json"
+    _write_problem(prob, _r1())
+    obj = pencil_to_dict(build_C1(_r1()))
+    obj[field][0][0] = value
+    pen = tmp_path / "bad.json"
+    pen.write_text(json.dumps(obj))
+    assert main(["verify", "--pencil", str(pen), "--input", str(prob)]) == 2
+    assert main(["solve", "--pencil", str(pen), "--input", str(prob)]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}:" in err
+
+
+def test_save_json_round_trip_bit_exact(tmp_path):
+    rng = np.random.default_rng(8)
+    R = random_realization(rng, 2, 3, 2, 2)
+    # signed zeros, subnormals and extreme exponents survive the file
+    B = R.B.copy()
+    B[0, 0] = complex(-0.0, 5e-324)
+    B[1, 0] = complex(1.7976931348623157e308, -2.2250738585072014e-308)
+    R = Realization(A=R.A, B=B, C=R.C, D=R.D)
+    prob = tmp_path / "p.json"
+    _write_problem(prob, R)
+    R2, _ = load_problem(prob)
+
+    def same(a, b):
+        return np.array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
+
+    for P1, P2 in ((R.A, R2.A), (R.D, R2.D)):
+        assert all(same(c1, c2) for c1, c2 in zip(P1.coeffs, P2.coeffs))
+    assert same(R.B, R2.B) and same(R.C, R2.C)
+    P = build_C1(R)
+    pen = tmp_path / "c1.json"
+    save_json(pen, pencil_to_dict(P))
+    assert pen.read_text().count("\n") == 1  # compact: one line
+    P2 = load_pencil(pen)
+    assert same(P.X, P2.X) and same(P.Y, P2.Y)
+    assert same(P.v, P2.v) and same(P.w, P2.w)
+    assert P2.space == P.space and P2.dims == P.dims
+
+
+def test_indented_files_still_load(tmp_path):
+    rng = np.random.default_rng(9)
+    R = random_realization(rng, 2, 2, 1, 2)
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    P = build_C1(R)
+    for path, obj in ((prob, problem_to_dict(R)), (pen, pencil_to_dict(P))):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=1)  # the layout earlier versions wrote
+            fh.write("\n")
+    R2, _ = load_problem(prob)
+    assert np.array_equal(R.B, R2.B) and np.array_equal(R.A.coeffs[1], R2.A.coeffs[1])
+    P2 = load_pencil(pen)
+    assert np.array_equal(P.X, P2.X) and np.array_equal(P.Y, P2.Y)
+
+
+def test_cli_solve_prints_null_at_a_pole(tmp_path, capsys):
+    # A = lambda - 1, B = 0: S has the zero 1, where A(1) is singular, and
+    # the zero 2 of D = lambda - 2; only the latter has a recovered vector
+    R = Realization(A=MatrixPolynomial.from_scalars(-1, 1), B=np.array([[0.0]]),
+                    C=np.array([[1.0]]), D=MatrixPolynomial.from_scalars(-2, 1))
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, R)
+    assert main(["build", "--input", str(prob), "--output", str(pen), "--source", "c1"]) == 0
+    assert main(["solve", "--pencil", str(pen), "--input", str(prob)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    eigs = np.array([complex(re, im) for re, im in out["eigenvalues"]])
+    by_eig = dict(zip(np.round(eigs.real).astype(int), zip(out["eigenvectors"],
+                                                           out["residuals"])))
+    assert sorted(by_eig) == [1, 2]
+    assert by_eig[1] == (None, None)
+    vec, res = by_eig[2]
+    assert vec is not None and res < 1e-12

@@ -98,6 +98,46 @@ def test_solve_pencil_eigenvector_conventions():
         assert np.linalg.norm(eigs.left[:, i].conj() @ M) < 1e-10 * np.linalg.norm(M)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_solve_pencil_one_side(side):
+    rng = np.random.default_rng(0)
+    X, Y = cgauss(rng, 5, 5), cgauss(rng, 5, 5)
+    both = solve_pencil(X, Y)
+    one = solve_pencil(X, Y, left=side == "left", right=side == "right")
+    np.testing.assert_allclose(one.eigenvalues, both.eigenvalues, rtol=1e-13)
+    skipped = "right" if side == "left" else "left"
+    assert getattr(one, skipped) is None
+    vecs = getattr(one, side)
+    assert vecs.shape == (5, one.eigenvalues.size)
+    for i, lam in enumerate(one.eigenvalues):
+        M = lam * X + Y
+        u = vecs[:, i]
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+        res = u.conj() @ M if side == "left" else M @ u
+        assert np.linalg.norm(res) < 1e-10 * np.linalg.norm(M)
+
+
+def test_verify_report_unchanged_by_right_only_qz(monkeypatch):
+    import syspencils.spectra as spectra
+
+    rng = np.random.default_rng(12)
+    R = random_realization(rng, 2, 3, 2, 2)
+    for P in (build_C1(R), build_DL(R)):
+        one_sided = verify_linearization(P, R).to_dict()
+        two_sided_qz = spectra.solve_pencil
+        monkeypatch.setattr(spectra, "solve_pencil",
+                            lambda X, Y, **_: two_sided_qz(X, Y))
+        two_sided = verify_linearization(P, R).to_dict()
+        monkeypatch.undo()
+        assert one_sided["verdict"] == two_sided["verdict"] == "pass"
+        for key in ("reason", "oracle_roots", "matching", "full_z_rank"):
+            assert one_sided[key] == two_sided[key]
+        for key in ("pencil_eigs", "max_eig_error", "ansatz_residual"):
+            np.testing.assert_allclose(one_sided[key], two_sided[key], rtol=1e-13)
+        np.testing.assert_allclose(one_sided["eig_residuals"], two_sided["eig_residuals"],
+                                   rtol=0, atol=1e-15)
+
+
 def test_match_multisets():
     pairs, worst = match_multisets([1.0, 2.0], [2.0 + 1e-9, 1.0])
     assert worst < 1e-8
@@ -270,6 +310,34 @@ def test_recover_left_end_to_end(r2):
         rec = recover_left(eigs.left[:, i], r2.dims, r2, lam)
         res = rec.x.conj() @ eval_transfer(r2, lam)
         assert np.linalg.norm(res) < 1e-8
+
+
+def _transfer_residual(R, lam, x, left):
+    G = eval_transfer(R, lam)
+    return np.linalg.norm(x.conj() @ G if left else G @ x), np.linalg.norm(G)
+
+
+@pytest.mark.parametrize("build, left", [(build_C1, False), (build_DL, False),
+                                         (build_C2, True)])
+def test_recovered_transfer_residual_matches_eval_transfer(build, left):
+    rng = np.random.default_rng(13)
+    recover, lift = (recover_left, lift_left) if left else (recover_right, lift_right)
+    for dims in [(2, 3, 2, 2), (3, 2, 1, 3), (1, 4, 2, 2)]:
+        R = random_realization(rng, *dims)
+        # at eigenvalues G(lam) x vanishes, so compare against the size of G
+        P = build(R)
+        eigs = solve_pencil(P.X, P.Y)
+        vecs = eigs.left if left else eigs.right
+        for i, lam in enumerate(eigs.eigenvalues):
+            rec = recover(vecs[:, i], R.dims, R, lam)
+            ref, scale = _transfer_residual(R, lam, rec.x, left)
+            assert abs(rec.transfer_residual - ref) <= 1e-12 * scale
+        # away from eigenvalues the residual is O(1) and must agree relatively
+        for _ in range(3):
+            lam0 = complex(cgauss(rng))
+            rec = recover(lift(R, cgauss(rng, R.r), lam0), R.dims, R, lam0)
+            ref, _ = _transfer_residual(R, lam0, rec.x, left)
+            assert abs(rec.transfer_residual - ref) <= 1e-12 * ref
 
 
 def test_f_map_r1(r1):
