@@ -64,8 +64,8 @@ def _build_from_source(R, source, space, options):
     ansatz = options.get("ansatz")
     if not isinstance(ansatz, dict):
         raise ValueError("explicit source needs an \"ansatz\" object in the problem options")
-    v = decode_vector(ansatz["v"], "options.ansatz.v")
-    w = decode_vector(ansatz["w"], "options.ansatz.w")
+    v = decode_vector(ansatz.get("v"), "options.ansatz.v")
+    w = decode_vector(ansatz.get("w"), "options.ansatz.w")
     W = decode_matrix(ansatz["W"], "options.ansatz.W") if ansatz.get("W") else None
     W1 = decode_matrix(ansatz["W1"], "options.ansatz.W1") if ansatz.get("W1") else None
     if space == spaces.SPACE_L2G:

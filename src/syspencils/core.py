@@ -43,6 +43,23 @@ __all__ = [
 POLE_RTOL = 1e-12
 
 
+def check_finite(owner: str, **fields) -> None:
+    """Raise ValueError naming the first field with a NaN or infinite entry.
+
+    A field is an array, a tuple of arrays (polynomial coefficients) or None.
+    All entries are tested in one vectorized pass, since per-call overhead
+    outweighs the work for the small arrays of a pencil build; only a
+    failed pass looks for the field to name.
+    """
+    arrays = [(name, np.asarray(a)) for name, value in fields.items()
+              for a in (value if isinstance(value, tuple) else (value,)) if a is not None]
+    if np.isfinite(np.concatenate([a.ravel() for _, a in arrays])).all():
+        return
+    for name, a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{owner}.{name} must be finite")
+
+
 def _freeze(a) -> np.ndarray:
     """Return a read-only complex ndarray copy of ``a``."""
     out = np.array(a, dtype=complex)
@@ -200,6 +217,7 @@ class Realization:
             raise DimensionError(f"B must be {n}x{r}, got {B.shape}")
         if C.shape != (r, n):
             raise DimensionError(f"C must be {r}x{n}, got {C.shape}")
+        check_finite("Realization", A=self.A.coeffs, B=B, C=C, D=self.D.coeffs)
 
     @property
     def n(self) -> int:

@@ -81,10 +81,15 @@ def decode_polymat(data, name: str = "matrix polynomial") -> MatrixPolynomial:
     return MatrixPolynomial(tuple(decode_matrix(c, f"{name}[{j}]") for j, c in enumerate(data)))
 
 
-def _check_format(obj: dict, what: str):
+def _object(obj, name: str) -> dict:
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    if obj.get("format") != FORMAT_VERSION:
+        raise ValueError(f"{name} must be a JSON object")
+    return obj
+
+
+def _check_format(obj: dict, what: str):
+    version = _object(obj, what).get("format")
+    if type(version) is not int or version != FORMAT_VERSION:  # true == 1 in Python
         raise ValueError(f"{what} must carry \"format\": {FORMAT_VERSION}")
 
 
@@ -106,7 +111,7 @@ def problem_to_dict(R: Realization, options: dict | None = None) -> dict:
 def problem_from_dict(obj: dict) -> tuple[Realization, dict]:
     _check_format(obj, "problem file")
     try:
-        raw = obj["realization"]
+        raw = _object(obj["realization"], "realization")
         R = Realization(
             A=decode_polymat(raw["A"], "realization.A"),
             B=decode_matrix(raw["B"], "realization.B"),
@@ -115,7 +120,7 @@ def problem_from_dict(obj: dict) -> tuple[Realization, dict]:
         )
     except KeyError as exc:
         raise ValueError(f"problem file misses field {exc}") from exc
-    return R, obj.get("options", {})
+    return R, _object(obj.get("options", {}), "options")
 
 
 def pencil_to_dict(P: AnsatzPencil) -> dict:
@@ -130,13 +135,21 @@ def pencil_to_dict(P: AnsatzPencil) -> dict:
     }
 
 
+def _dim(dims: dict, key: str) -> int:
+    value = dims[key]
+    if type(value) is not int:  # not bool either
+        raise ValueError(f"dims.{key} must be an integer")
+    return value
+
+
 def pencil_from_dict(obj: dict) -> AnsatzPencil:
     _check_format(obj, "pencil file")
     try:
-        dims = BlockDims(**{key: int(obj["dims"][key]) for key in ("m", "n", "k", "r")})
+        raw = _object(obj["dims"], "dims")
+        dims = BlockDims(**{key: _dim(raw, key) for key in ("m", "n", "k", "r")})
         space = obj["space"]
-        if space not in SPACES:
-            raise ValueError(f"unknown space tag {space!r}")
+        if not isinstance(space, str) or space not in SPACES:
+            raise ValueError(f"space: unknown space tag {space!r}")
         return AnsatzPencil(
             X=decode_matrix(obj["X"], "X"),
             Y=decode_matrix(obj["Y"], "Y"),
@@ -160,7 +173,13 @@ def load_pencil(path) -> AnsatzPencil:
 
 
 def save_json(path, obj: dict):
-    """Write ``obj`` as compact JSON (one line, the C encoder)."""
+    """Write ``obj`` as compact JSON (one line, the C encoder).
+
+    Top-level fields are encoded and written one at a time, so no string
+    of the whole document is held; the bytes equal ``json.dumps(obj)``.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj))
-        fh.write("\n")
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: {json.dumps(value)}")
+        fh.write("}\n")

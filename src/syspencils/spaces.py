@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     BlockDims,
     Realization,
+    check_finite,
     eval_polymat,
     is_hermitian_realization,
     is_symmetric_realization,
@@ -125,6 +126,7 @@ class AnsatzPencil:
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "v", np.asarray(self.v, dtype=complex).reshape(-1))
         object.__setattr__(self, "w", np.asarray(self.w, dtype=complex).reshape(-1))
+        check_finite("AnsatzPencil", X=X, Y=Y, v=self.v, w=self.w, W=self.W, W1=self.W1)
 
     def __call__(self, lam: complex) -> np.ndarray:
         return lam * self.X + self.Y

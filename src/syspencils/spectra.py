@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     BlockDims,
@@ -170,14 +169,7 @@ class PencilEigs:
 
 def pencil_eigvals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Finite eigenvalues of ``lambda X + Y`` (no eigenvectors)."""
-    try:
-        ab = scipy.linalg.eigvals(Y, -np.asarray(X, dtype=complex),
-                                  homogeneous_eigvals=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
-        raise SolverFailure(str(exc)) from exc
-    alpha, beta = ab[0], ab[1]
-    finite = np.abs(beta) > INF_EIG_RTOL * np.hypot(np.abs(alpha), np.abs(beta))
-    return alpha[finite] / beta[finite]
+    return solve_pencil(X, Y, left=False, right=False).eigenvalues
 
 
 def solve_pencil(X, Y=None, *, left: bool = True, right: bool = True) -> PencilEigs:
@@ -189,6 +181,9 @@ def solve_pencil(X, Y=None, *, left: bool = True, right: bool = True) -> PencilE
     ``|beta| <= INF_EIG_RTOL * ||(alpha, beta)||`` are treated as infinite
     and dropped.  ``left=False`` or ``right=False`` skips computing that
     side's eigenvectors, which is then None.
+
+    This is the package's one QZ call.  scipy is imported here, at the
+    first call, so that building pencils never loads it.
     """
     if Y is None:
         X, Y = X.X, X.Y
@@ -196,14 +191,18 @@ def solve_pencil(X, Y=None, *, left: bool = True, right: bool = True) -> PencilE
     Y = np.asarray(Y, dtype=complex)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionError("pencil coefficients must be square and of equal shape")
+    import scipy.linalg
+
     try:
-        ab, *vecs = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
+        out = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover  (scipy raises numpy's class)
         raise SolverFailure(str(exc)) from exc
+    # a bare (alpha, beta) array without vectors; else left vectors come first
+    ab, *vecs = out if left or right else (out,)
     alpha, beta = ab[0], ab[1]
     finite = np.abs(beta) > INF_EIG_RTOL * np.hypot(np.abs(alpha), np.abs(beta))
     vecs = [V[:, finite] / np.maximum(np.linalg.norm(V[:, finite], axis=0), 1e-300)
-            for V in vecs]  # scipy returns the left vectors first
+            for V in vecs]
     vl = vecs.pop(0) if left else None
     vr = vecs.pop(0) if right else None
     return PencilEigs(eigenvalues=alpha[finite] / beta[finite], right=vr, left=vl)

@@ -124,6 +124,19 @@ def test_realization_shape_validation():
                     C=np.ones((1, 1)), D=D)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["A", "B", "C", "D"])
+def test_realization_rejects_non_finite(name, bad):
+    data = dict(A=MatrixPolynomial.from_scalars(1, 1), B=np.ones((1, 1)),
+                C=np.ones((1, 1)), D=MatrixPolynomial.from_scalars(0, 1))
+    if name in ("A", "D"):
+        data[name] = MatrixPolynomial.from_scalars(1, bad)
+    else:
+        data[name] = np.array([[bad]])
+    with pytest.raises(ValueError, match=f"Realization.{name} "):
+        Realization(**data)
+
+
 def test_values_are_immutable():
     P = MatrixPolynomial.from_scalars(1, 2)
     with pytest.raises(ValueError):

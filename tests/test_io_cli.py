@@ -63,6 +63,14 @@ def test_format_field_required():
         problem_from_dict({"realization": {}})
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_format_must_be_the_integer_1(version):
+    obj = problem_to_dict(_r1())
+    obj["format"] = version  # both compare equal to 1
+    with pytest.raises(ValueError, match="format"):
+        problem_from_dict(obj)
+
+
 def test_cli_build_and_verify_c1(tmp_path, capsys):
     prob = tmp_path / "r1.json"
     pen = tmp_path / "c1.json"
@@ -237,14 +245,18 @@ def test_cli_basis_build_and_verify(tmp_path, capsys):
     assert report["verdict"] == "pass"
 
 
-def _run_cli(*args):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def _run_python(*args):
+    """Run the interpreter on ``args`` with this package on its path."""
     import syspencils
 
     src = os.path.dirname(os.path.dirname(syspencils.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "syspencils.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_cli(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return _run_python("-m", "syspencils.cli", *args)
 
 
 def test_cli_non_finite_problem_is_input_error(tmp_path):
@@ -347,3 +359,54 @@ def test_cli_solve_prints_null_at_a_pole(tmp_path, capsys):
     assert by_eig[1] == (None, None)
     vec, res = by_eig[2]
     assert vec is not None and res < 1e-12
+
+
+@pytest.mark.parametrize("case, field", [
+    ("ansatz", "options.ansatz.v"),
+    ("realization", "realization"),
+    ("dims", "dims"),
+    ("space", "space"),
+])
+def test_cli_malformed_structure_is_input_error(tmp_path, case, field):
+    problem = problem_to_dict(_r1(), {"ansatz": {}})
+    pencil = pencil_to_dict(build_C1(_r1()))
+    if case == "realization":
+        problem["realization"] = list(problem["realization"].values())
+    elif case == "dims":
+        pencil["dims"] = list(pencil["dims"].values())
+    elif case == "space":
+        pencil["space"] = [pencil["space"]]
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    save_json(prob, problem)
+    save_json(pen, pencil)
+    if case in ("ansatz", "realization"):
+        done = _run_cli("build", "--input", str(prob), "--output", str(tmp_path / "x.json"),
+                        "--source", "explicit")
+    else:
+        done = _run_cli("verify", "--pencil", str(pen), "--input", str(prob))
+    assert done.returncode == 2
+    assert f"error: {field}" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_build_and_dim_do_not_load_scipy(tmp_path):
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, _r1())
+    script = f"""
+import json, sys
+loaded = []
+import syspencils
+from syspencils import cli
+loaded.append("scipy" in sys.modules)
+assert cli.main(["build", "--input", {str(prob)!r}, "--output", {str(pen)!r}]) == 0
+loaded.append("scipy" in sys.modules)
+assert cli.main(["dim", "2", "3", "1", "2"]) == 0
+loaded.append("scipy" in sys.modules)
+assert cli.main(["verify", "--pencil", {str(pen)!r}, "--input", {str(prob)!r}]) == 0
+loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded), file=sys.stderr)
+"""
+    done = _run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    # import, build and dim leave scipy out; the QZ of verify loads it
+    assert json.loads(done.stderr.splitlines()[-1]) == [False, False, False, True]

@@ -394,3 +394,16 @@ def test_dl_space_tag_checks_both_identities():
     P = build_DL(R)
     assert P.space == SPACE_DL
     assert residual_ansatz(P, R, nonpole_samples(R, 10, seed=27)) < 1e-11
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["X", "Y", "v", "w", "W", "W1"])
+def test_ansatz_pencil_rejects_non_finite(name, bad):
+    from dataclasses import replace
+
+    rng = np.random.default_rng(3)
+    P, _, _ = _random_member(rng, random_realization(rng, 2, 2, 2, 1))
+    value = np.array(getattr(P, name))
+    value.flat[-1] = bad
+    with pytest.raises(ValueError, match=f"AnsatzPencil.{name} "):
+        replace(P, **{name: value})

@@ -22,6 +22,7 @@ from syspencils import (
     lift_left,
     lift_right,
     match_multisets,
+    pencil_eigvals,
     poly_roots,
     recover_left,
     recover_right,
@@ -115,6 +116,28 @@ def test_solve_pencil_one_side(side):
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
         res = u.conj() @ M if side == "left" else M @ u
         assert np.linalg.norm(res) < 1e-10 * np.linalg.norm(M)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 40])
+@pytest.mark.parametrize("infinite", [False, True])
+def test_solve_pencil_without_vectors(n, infinite):
+    import scipy.linalg
+
+    from syspencils.spectra import INF_EIG_RTOL
+
+    rng = np.random.default_rng(n)
+    X, Y = cgauss(rng, n, n), cgauss(rng, n, n)
+    if infinite:
+        X[:, 0] = 0.0  # an infinite eigenvalue
+    # the eigenvalue-only QZ of (Y, -X), finite-filtered, bit for bit
+    ab = scipy.linalg.eigvals(Y, -X, homogeneous_eigvals=True)
+    finite = np.abs(ab[1]) > INF_EIG_RTOL * np.hypot(np.abs(ab[0]), np.abs(ab[1]))
+    expected = ab[0][finite] / ab[1][finite]
+    assert expected.size == n - infinite
+    eigs = solve_pencil(X, Y, left=False, right=False)
+    assert eigs.left is None and eigs.right is None
+    assert np.array_equal(eigs.eigenvalues.view(float), expected.view(float))
+    assert np.array_equal(pencil_eigvals(X, Y).view(float), expected.view(float))
 
 
 def test_verify_report_unchanged_by_right_only_qz(monkeypatch):
