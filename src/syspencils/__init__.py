@@ -36,7 +36,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .shiftsum import (
-    BlockMatrix,
     block_shift_sum,
     block_transpose,
     col_shift_sum,

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Realization, eval_polymat, lambda_vector, solve_state
+from .core import Realization, lambda_vector
 from .errors import DimensionError, SingularBasis
-from .spaces import SPACE_L1G, AnsatzPencil, build_pencil_L1
+from .spaces import SPACE_L1G, AnsatzPencil, _transfer_residual, build_pencil_L1
 
 __all__ = [
     "BasisSpec",
@@ -136,15 +136,14 @@ def build_L1_tilde(R: Realization, spec_A: BasisSpec, spec_D: BasisSpec,
                         v=P.v, w=P.w, W=P.W, W1=P.W1)
 
 
-def tilde_to_monomial(P: AnsatzPencil, spec_A: BasisSpec, spec_D: BasisSpec,
-                      dims=None) -> AnsatzPencil:
+def tilde_to_monomial(P: AnsatzPencil, spec_A: BasisSpec, spec_D: BasisSpec) -> AnsatzPencil:
     """Map a basis-form pencil back to the monomial space.
 
     Right multiplication by ``blockdiag(Phi kron I_n, Psi kron I_r)``;
     inverse of :func:`build_L1_tilde`, and a linear isomorphism between
     the two spaces (strict equivalence, so spectra coincide).
     """
-    dims = dims if dims is not None else P.dims
+    dims = P.dims
     if spec_A.d != dims.m or spec_D.d != dims.k:
         raise DimensionError("basis sizes must match the block dims (m, k)")
     T = _right_transform(phi_matrix(spec_A), phi_matrix(spec_D), dims.n, dims.r,
@@ -155,23 +154,13 @@ def tilde_to_monomial(P: AnsatzPencil, spec_A: BasisSpec, spec_D: BasisSpec,
 
 def residual_tilde(P: AnsatzPencil, R: Realization, spec_A: BasisSpec,
                    spec_D: BasisSpec, lam_samples) -> float:
-    """Max deviation of the basis-form ansatz identity over the samples."""
+    """Max deviation of the basis-form ansatz identity over the samples.
+
+    The monomial transfer identity with the power stacks replaced by the
+    basis stacks ``Phi Lambda_m`` and ``Psi Lambda_k``.
+    """
     Phi = phi_matrix(spec_A)
     Psi = phi_matrix(spec_D)
-    m, n, k, r = R.m, R.n, R.k, R.r
-    worst = 0.0
-    for lam in lam_samples:
-        F = solve_state(R, lam, R.B)
-        G = R.C @ F + eval_polymat(R.D, lam)
-        lam_phi = Phi @ lambda_vector(m, lam)
-        lam_psi = Psi @ lambda_vector(k, lam)
-        M = np.vstack([
-            np.kron(lam_phi.reshape(-1, 1), F),
-            np.kron(lam_psi.reshape(-1, 1), np.eye(r)),
-        ])
-        target = np.vstack([
-            np.zeros((m * n, r), dtype=complex),
-            np.kron(P.w.reshape(-1, 1), G),
-        ])
-        worst = max(worst, float(np.max(np.abs(P(lam) @ M - target))))
-    return worst
+    return max((_transfer_residual(P.X, P.Y, R, P.w, lam, Phi @ lambda_vector(R.m, lam),
+                                   Psi @ lambda_vector(R.k, lam))
+                for lam in lam_samples), default=0.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -36,13 +37,13 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 
-_SOURCES = {
-    "c1": "c1", "companion1": "c1",
-    "c2": "c2", "companion2": "c2",
-    "dl": "dl",
-    "sym": "sym", "symmetric": "sym",
-    "herm": "herm", "hermitian": "herm",
-    "explicit": "explicit",
+#: Build source -> builder of the pencil from the realization.
+_BUILDERS = {
+    "c1": spaces.build_C1, "companion1": spaces.build_C1,
+    "c2": spaces.build_C2, "companion2": spaces.build_C2,
+    "dl": spaces.build_DL,
+    "sym": spaces.build_symmetric, "symmetric": spaces.build_symmetric,
+    "herm": spaces.build_hermitian, "hermitian": spaces.build_hermitian,
 }
 
 
@@ -50,17 +51,7 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _build_from_source(R, source, space, options):
-    if source == "c1":
-        return spaces.build_C1(R)
-    if source == "c2":
-        return spaces.build_C2(R)
-    if source == "dl":
-        return spaces.build_DL(R)
-    if source == "sym":
-        return spaces.build_symmetric(R)
-    if source == "herm":
-        return spaces.build_hermitian(R)
+def _build_explicit(R, space, options):
     ansatz = options.get("ansatz")
     if not isinstance(ansatz, dict):
         raise ValueError("explicit source needs an \"ansatz\" object in the problem options")
@@ -71,6 +62,22 @@ def _build_from_source(R, source, space, options):
     if space == spaces.SPACE_L2G:
         return spaces.build_pencil_L2(R, v, w, W, W1)
     return spaces.build_pencil_L1(R, v, w, W, W1, space=space)
+
+
+# argparse reports a ValueError or ArgumentTypeError from these as an
+# error in the flag (exit 2)
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _parse_basis(token: str, d: int):
@@ -97,17 +104,27 @@ def _reading():
         raise ValueError(str(exc)) from exc
 
 
+def _basis_specs(basis: str, P, R):
+    """The (A, D) basis specs a pencil file is expressed in; None when monomial."""
+    if basis == "monomial":
+        return None
+    if P.space != spaces.SPACE_L1G:
+        raise ValueError("non-monomial bases apply to first-space pencils only")
+    return _parse_basis(basis, R.m), _parse_basis(basis, R.k)
+
+
 def cmd_build(args) -> int:
     with _reading():
         R, options = load_problem(args.input)
-    P = _build_from_source(R, _SOURCES[args.source], args.space, options)
-    if args.basis != "monomial":
-        if P.space not in (spaces.SPACE_L1G,):
-            raise ValueError("non-monomial bases apply to first-space pencils only")
+    if args.source == "explicit":
+        P = _build_explicit(R, args.space, options)
+    else:
+        P = _BUILDERS[args.source](R)
+    specs = _basis_specs(args.basis, P, R)
+    if specs:
         from .basis import build_L1_tilde
 
-        P = build_L1_tilde(R, _parse_basis(args.basis, R.m),
-                           _parse_basis(args.basis, R.k), P.v, P.w, P.W, P.W1)
+        P = build_L1_tilde(R, *specs, P.v, P.w, P.W, P.W1)
     save_json(args.output, pencil_to_dict(P))
     return EXIT_PASS
 
@@ -119,18 +136,18 @@ def _load_pencil_and_problem(args):
         R, _ = load_problem(args.input)
         if P.dims != R.dims:
             raise ValueError(f"pencil dims {P.dims} do not match problem dims {R.dims}")
-        if args.basis == "monomial":
+        specs = _basis_specs(args.basis, P, R)
+        if not specs:
             return P, R
         from .basis import tilde_to_monomial
 
-        return tilde_to_monomial(P, _parse_basis(args.basis, R.m),
-                                 _parse_basis(args.basis, R.k)), R
+        return tilde_to_monomial(P, *specs), R
 
 
 def cmd_verify(args) -> int:
     P, R = _load_pencil_and_problem(args)
     tol_eig = args.tol_eig * (0.5 if args.strict else 1.0)
-    tol_res = (args.tol * (0.5 if args.strict else 1.0)) if args.tol else None
+    tol_res = None if args.tol is None else args.tol * (0.5 if args.strict else 1.0)
     report = verify_linearization(P, R, tol_res=tol_res, tol_eig=tol_eig)
     _emit(report.to_dict())
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -144,9 +161,8 @@ def cmd_solve(args) -> int:
     eigs = solve_pencil(P.X, P.Y, left=left, right=not left)
     recover = recover_left if left else recover_right
     vecs = eigs.left if left else eigs.right
-    out = {"eigenvalues": [], "eigenvectors": [], "residuals": []}
+    out = {"eigenvalues": encode_vector(eigs.eigenvalues), "eigenvectors": [], "residuals": []}
     for i, lam in enumerate(eigs.eigenvalues):
-        out["eigenvalues"].append([lam.real, lam.imag])
         try:
             rec = recover(vecs[:, i], P.dims, R, lam)
             out["eigenvectors"].append(encode_vector(rec.x))
@@ -196,7 +212,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--space", default=spaces.SPACE_L1G,
                    choices=["l1s", "l1g", "l2g", "dl"])
-    p.add_argument("--source", default="c1", choices=sorted(_SOURCES))
+    p.add_argument("--source", default="c1", choices=sorted([*_BUILDERS, "explicit"]))
     p.add_argument("--basis", default="monomial",
                    help="monomial | chebyshev | newton:<comma separated nodes>")
     p.set_defaults(func=cmd_build)
@@ -204,9 +220,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a pencil against a problem")
     p.add_argument("--pencil", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_positive_finite, default=None,
                    help="ansatz residual tolerance (default scale-aware)")
-    p.add_argument("--tol-eig", dest="tol_eig", type=float, default=1e-6)
+    p.add_argument("--tol-eig", dest="tol_eig", type=_positive_finite, default=1e-6)
     p.add_argument("--strict", action="store_true", help="halve all tolerances")
     p.add_argument("--basis", default="monomial",
                    help="basis the pencil file is expressed in")
@@ -221,7 +237,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample pencils and report the verify pass rate")
     p.add_argument("--input", required=True)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_non_negative_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--space", default=spaces.SPACE_L1G,
                    choices=["l1s", "l1g", "l2g", "dl", "sym", "herm"])

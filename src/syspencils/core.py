@@ -101,10 +101,6 @@ class MatrixPolynomial:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "MatrixPolynomial":
-        return cls((np.zeros((rows, cols)),))
-
-    @classmethod
     def from_scalars(cls, *scalars) -> "MatrixPolynomial":
         """1 x 1 polynomial from scalar coefficients in ascending degree."""
         return cls(tuple(np.array([[s]], dtype=complex) for s in scalars))
@@ -120,9 +116,6 @@ class MatrixPolynomial:
 
     def transpose(self) -> "MatrixPolynomial":
         return MatrixPolynomial(tuple(c.T for c in self.coeffs))
-
-    def scale(self, alpha: complex) -> "MatrixPolynomial":
-        return MatrixPolynomial(tuple(alpha * c for c in self.coeffs))
 
     def max_norm(self) -> float:
         return max(float(np.max(np.abs(c))) for c in self.coeffs)

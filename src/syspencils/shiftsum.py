@@ -10,15 +10,12 @@ operates on matrices partitioned according to a :class:`BlockDims`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import BlockDims
 from .errors import DimensionError
 
 __all__ = [
-    "BlockMatrix",
     "col_shift_sum",
     "row_shift_sum",
     "block_shift_sum",
@@ -27,26 +24,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
-    """A dense matrix with a uniform block grid interpretation."""
-
-    data: np.ndarray
-    block_rows: int
-    block_cols: int
-    blk_r: int
-    blk_c: int
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        object.__setattr__(self, "data", data)
-        expect = (self.block_rows * self.blk_r, self.block_cols * self.blk_c)
-        if data.shape != expect:
-            raise DimensionError(f"block grid implies shape {expect}, data is {data.shape}")
-
-
-def _shift_cols(X: np.ndarray, Y: np.ndarray, width: int) -> np.ndarray:
-    # [X | 0] + [0 | Y], padding one block column of the given width
+def col_shift_sum(X: np.ndarray, Y: np.ndarray, width: int) -> np.ndarray:
+    """Column shifted sum: ``[X | 0] + [0 | Y]`` with one block column of ``width``."""
+    X = np.asarray(X, dtype=complex)
+    Y = np.asarray(Y, dtype=complex)
     if X.shape != Y.shape:
         raise DimensionError(f"operands differ in shape: {X.shape} vs {Y.shape}")
     rows, cols = X.shape
@@ -58,38 +39,9 @@ def _shift_cols(X: np.ndarray, Y: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _shift_rows(X: np.ndarray, Y: np.ndarray, height: int) -> np.ndarray:
-    if X.shape != Y.shape:
-        raise DimensionError(f"operands differ in shape: {X.shape} vs {Y.shape}")
-    rows, cols = X.shape
-    if rows % height:
-        raise DimensionError(f"row count {rows} not a multiple of block height {height}")
-    out = np.zeros((rows + height, cols), dtype=complex)
-    out[:rows, :] += X
-    out[height:, :] += Y
-    return out
-
-
-def _check_same_grid(X: BlockMatrix, Y: BlockMatrix):
-    if (X.block_rows, X.block_cols, X.blk_r, X.blk_c) != (
-        Y.block_rows,
-        Y.block_cols,
-        Y.blk_r,
-        Y.blk_c,
-    ):
-        raise DimensionError("block grids of the operands disagree")
-
-
-def col_shift_sum(X: BlockMatrix, Y: BlockMatrix) -> np.ndarray:
-    """Column shifted sum: ``[X | 0] + [0 | Y]`` with one block column of padding."""
-    _check_same_grid(X, Y)
-    return _shift_cols(X.data, Y.data, X.blk_c)
-
-
-def row_shift_sum(X: BlockMatrix, Y: BlockMatrix) -> np.ndarray:
-    """Row shifted sum: ``[X ; 0] + [0 ; Y]`` with one block row of padding."""
-    _check_same_grid(X, Y)
-    return _shift_rows(X.data, Y.data, X.blk_r)
+def row_shift_sum(X: np.ndarray, Y: np.ndarray, height: int) -> np.ndarray:
+    """Row shifted sum: ``[X ; 0] + [0 ; Y]``, the transpose of the column one."""
+    return col_shift_sum(np.transpose(X), np.transpose(Y), height).T
 
 
 def _quadrants(M: np.ndarray, dims: BlockDims):
@@ -112,23 +64,17 @@ def block_shift_sum(X: np.ndarray, Y: np.ndarray, dims: BlockDims) -> np.ndarray
     X11, X12, X21, X22 = _quadrants(X, dims)
     Y11, Y12, Y21, Y22 = _quadrants(Y, dims)
     n, r = dims.n, dims.r
-    top = np.hstack([_shift_cols(X11, Y11, n), _shift_cols(X12, Y12, r)])
-    bot = np.hstack([_shift_cols(X21, Y21, n), _shift_cols(X22, Y22, r)])
+    top = np.hstack([col_shift_sum(X11, Y11, n), col_shift_sum(X12, Y12, r)])
+    bot = np.hstack([col_shift_sum(X21, Y21, n), col_shift_sum(X22, Y22, r)])
     return np.vstack([top, bot])
 
 
 def _grid_transpose(M: np.ndarray, grid: int, blk: int) -> np.ndarray:
     # move blocks to transposed grid positions without transposing contents
-    out = np.empty_like(M)
-    for i in range(grid):
-        for j in range(grid):
-            out[i * blk : (i + 1) * blk, j * blk : (j + 1) * blk] = M[
-                j * blk : (j + 1) * blk, i * blk : (i + 1) * blk
-            ]
-    return out
+    return M.reshape(grid, blk, grid, blk).transpose(2, 1, 0, 3).reshape(M.shape)
 
 
-def _kron_factor(Q: np.ndarray, grid_shape, blk_shape, rtol: float = 1e-13):
+def _kron_factor(Q: np.ndarray, grid_shape, blk_shape):
     """Split ``Q = G kron X`` into grid pattern G and block content X.
 
     Uses the dominant factor of the Kronecker rearrangement; exact when the
@@ -139,10 +85,8 @@ def _kron_factor(Q: np.ndarray, grid_shape, blk_shape, rtol: float = 1e-13):
     """
     gr, gc = grid_shape
     br, bc = blk_shape
-    R = np.empty((gr * gc, br * bc), dtype=complex)
-    for i in range(gr):
-        for j in range(gc):
-            R[i * gc + j, :] = Q[i * br : (i + 1) * br, j * bc : (j + 1) * bc].ravel()
+    # row i * gc + j of the rearrangement is block (i, j) of Q, raveled
+    R = Q.reshape(gr, br, gc, bc).transpose(0, 2, 1, 3).reshape(gr * gc, br * bc)
     scale = np.linalg.norm(R)
     if scale == 0.0:
         return np.zeros((gr, gc), dtype=complex), np.zeros((br, bc), dtype=complex)
@@ -155,10 +99,6 @@ def _kron_factor(Q: np.ndarray, grid_shape, blk_shape, rtol: float = 1e-13):
     # sv[0] * Vh[0, :] rescaled by the extracted phase
     content = sv[0] * phase * Vh[0, :]
     return g.reshape(gr, gc), content.reshape(br, bc)
-
-
-def _kron_expand(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.kron(G, X)
 
 
 def block_transpose(A: np.ndarray, dims: BlockDims) -> np.ndarray:
@@ -192,8 +132,8 @@ def block_transpose(A: np.ndarray, dims: BlockDims) -> np.ndarray:
         g_tr = g_bl.T
     if not np.any(g_bl) and np.any(g_tr):
         g_bl = g_tr.T
-    out[:t, t:] = _kron_expand(g_bl.T, x_tr)
-    out[t:, :t] = _kron_expand(g_tr.T, y_bl)
+    out[:t, t:] = np.kron(g_bl.T, x_tr)
+    out[t:, :t] = np.kron(g_tr.T, y_bl)
     return out
 
 

@@ -36,7 +36,6 @@ from .core import (
     padded_identity,
     realization_scale,
     solve_state,
-    solve_state_left,
     transpose_realization,
 )
 from .errors import DegenerateFit, DimensionError, NotAMember, StructureError
@@ -132,44 +131,39 @@ class AnsatzPencil:
         return lam * self.X + self.Y
 
 
-def _coeff_row(P, hi: int, lo: int) -> np.ndarray:
-    """Horizontal stack [P_hi, P_{hi-1}, ..., P_lo] of coefficients."""
-    if hi < lo:
-        return np.zeros((P.rows, 0), dtype=complex)
-    return np.hstack([P.coefficient(j) for j in range(hi, lo - 1, -1)])
+def _coeff_row(P) -> np.ndarray:
+    """Horizontal stack [P_d, P_{d-1}, ..., P_0] of all coefficients."""
+    return np.hstack(P.coeffs[::-1])
+
+
+def _kron_col(v: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """``v kron K`` for a vector v: the blocks v_i K stacked vertically."""
+    return (v[:, None, None] * K).reshape(-1, K.shape[1])
 
 
 def _l1_parts(R: Realization, v, w, W, W1):
-    """X, Y of the first-space pencil with ansatz (v, w) and free (W, W1)."""
+    """X, Y of the first-space pencil with ansatz (v, w) and free (W, W1).
+
+    Each diagonal partition is the pair whose column shifted sum is
+    ``v kron [A_m ... A_0]``: X holds its first block column and W, Y the
+    rest minus [W | 0].
+    """
     m, n, k, r = R.m, R.n, R.k, R.r
     v = _as_vector(v, m, "v")
     w = _as_vector(w, k, "w")
     W = _as_free_block(W, m * n, (m - 1) * n, "W")
     W1 = _as_free_block(W1, k * r, (k - 1) * r, "W1")
-    vc = v.reshape(-1, 1)
-    wc = w.reshape(-1, 1)
-
-    X_tl = np.hstack([np.kron(vc, R.A.coefficient(m)), W])
-    X_br = np.hstack([np.kron(wc, R.D.coefficient(k)), W1])
-    Y_tl = np.hstack([np.kron(vc, _coeff_row(R.A, m - 1, 1)) - W,
-                      np.kron(vc, R.A.coefficient(0))])
-    Y_br = np.hstack([-W1 + np.kron(wc, _coeff_row(R.D, k - 1, 1)),
-                      np.kron(wc, R.D.coefficient(0))])
-    e_k = np.zeros(k); e_k[-1] = 1.0
-    e_m = np.zeros(m); e_m[-1] = 1.0
-    Y_tr = -np.kron(np.outer(v, e_k), R.B)
-    Y_bl = np.kron(np.outer(w, e_m), R.C)
-
-    size = m * n + k * r
+    t, size = m * n, m * n + k * r
     X = np.zeros((size, size), dtype=complex)
     Y = np.zeros((size, size), dtype=complex)
-    t = m * n
-    X[:t, :t] = X_tl
-    X[t:, t:] = X_br
-    Y[:t, :t] = Y_tl
-    Y[:t, t:] = Y_tr
-    Y[t:, :t] = Y_bl
-    Y[t:, t:] = Y_br
+    for lo, hi, b, u, P, F in ((0, t, n, v, R.A, W), (t, size, r, w, R.D, W1)):
+        U = _kron_col(u, _coeff_row(P))
+        X[lo:hi, lo:lo + b] = U[:, :b]
+        X[lo:hi, lo + b:hi] = F
+        Y[lo:hi, lo:hi] = U[:, b:]
+        Y[lo:hi, lo:hi - b] -= F
+    Y[:t, size - r:] = -_kron_col(v, R.B)
+    Y[t:, t - n:t] = _kron_col(w, R.C)
     return X, Y, v, w, W, W1
 
 
@@ -204,53 +198,48 @@ def build_pencil_L2(R: Realization, s, z, W=None, W1=None) -> AnsatzPencil:
     return AnsatzPencil(X=X.T, Y=Y.T, dims=R.dims, space=SPACE_L2G, v=s, w=z, W=W, W1=W1)
 
 
-def _companion_free_blocks(m: int, n: int):
-    """The free block of the companion pencils: zeros over an identity."""
-    if m == 1:
-        return None
-    return np.vstack([np.zeros((n, (m - 1) * n)), np.eye((m - 1) * n)]).astype(complex)
+def _companion_args(R: Realization):
+    """R, the ansatz pair (e_1, e_1) and the companion free blocks (zeros
+    over an identity) of both partitions."""
+    m, n, k, r = R.m, R.n, R.k, R.r
+    return (R, np.eye(m)[0], np.eye(k)[0], np.eye(m * n, (m - 1) * n, -n, dtype=complex),
+            np.eye(k * r, (k - 1) * r, -r, dtype=complex))
 
 
 def build_C1(R: Realization) -> AnsatzPencil:
     """First companion pencil; first-space member with ansatz (e_1, e_1)."""
-    m, n, k, r = R.m, R.n, R.k, R.r
-    e1m = np.zeros(m); e1m[0] = 1.0
-    e1k = np.zeros(k); e1k[0] = 1.0
-    return build_pencil_L1(R, e1m, e1k,
-                           _companion_free_blocks(m, n), _companion_free_blocks(k, r),
-                           space=SPACE_L1G)
+    return build_pencil_L1(*_companion_args(R), space=SPACE_L1G)
 
 
 def build_C2(R: Realization) -> AnsatzPencil:
     """Second companion pencil; second-space member with ansatz (e_1, e_1)."""
-    m, n, k, r = R.m, R.n, R.k, R.r
-    e1m = np.zeros(m); e1m[0] = 1.0
-    e1k = np.zeros(k); e1k[0] = 1.0
-    return build_pencil_L2(R, e1m, e1k,
-                           _companion_free_blocks(m, n), _companion_free_blocks(k, r))
+    return build_pencil_L2(*_companion_args(R))
 
 
-def _dl_diagonal_parts(P, deg: int, blk: int):
-    """Anti-Hankel X and matching Y of the double-ansatz pencil, one partition.
+def _anti_hankel(P, d: int) -> np.ndarray:
+    """Free block of the double-ansatz member: block (i, j) is P_{2d-i-j}.
 
-    X(i, j) = P_{2d+1-i-j} on the anti-triangle d+1 <= i+j <= 2d;
-    Y(i, j) = -P_{2d-i-j} for i, j <= d-1 with i+j >= d, plus P_0 at (d, d).
+    Block indices run i = 1..d, j = 1..d-1; coefficients above the degree
+    d are zero, so the block is anti-triangular.
     """
-    size = deg * blk
-    X = np.zeros((size, size), dtype=complex)
-    Y = np.zeros((size, size), dtype=complex)
-    for i in range(1, deg + 1):
-        for j in range(1, deg + 1):
-            if deg + 1 <= i + j <= 2 * deg:
-                X[(i - 1) * blk : i * blk, (j - 1) * blk : j * blk] = P.coefficient(2 * deg + 1 - i - j)
-            if i <= deg - 1 and j <= deg - 1 and i + j >= deg:
-                Y[(i - 1) * blk : i * blk, (j - 1) * blk : j * blk] = -P.coefficient(2 * deg - i - j)
-    Y[(deg - 1) * blk :, (deg - 1) * blk :] = P.coefficient(0)
-    return X, Y
+    b = P.rows
+    H = np.zeros((d * b, (d - 1) * b), dtype=complex)
+    for i in range(1, d + 1):
+        for j in range(max(1, d - i), d):
+            H[(i - 1) * b : i * b, (j - 1) * b : j * b] = P.coefficient(2 * d - i - j)
+    return H
 
 
-def _assemble_four(TL, TR, BL, BR):
-    return np.block([[TL, TR], [BL, BR]])
+def _dl_member(R: Realization, space: str, sign: float) -> AnsatzPencil:
+    """First-space member with ansatz (e_m, sign e_k) and anti-Hankel free blocks."""
+    # sign -1 gives the symmetric and Hermitian ray representative: negating
+    # the bottom partition makes the off-diagonal blocks transpose into each
+    # other, which is impossible at (e_m, e_k) under the honest sign
+    # convention (it would force C = -B^T instead of C = B^T).
+    W1 = _anti_hankel(R.D, R.k)
+    X, Y, v, w, W, W1 = _l1_parts(R, np.eye(R.m)[-1], sign * np.eye(R.k)[-1],
+                                  _anti_hankel(R.A, R.m), W1 if sign > 0 else -W1)
+    return AnsatzPencil(X=X, Y=Y, dims=R.dims, space=space, v=v, w=w, W=W, W1=W1)
 
 
 def build_DL(R: Realization) -> AnsatzPencil:
@@ -262,37 +251,7 @@ def build_DL(R: Realization) -> AnsatzPencil:
     first-space identity with (e_m, e_k) and the second-space identity
     with the same pair.
     """
-    m, n, k, r = R.m, R.n, R.k, R.r
-    XA, YA = _dl_diagonal_parts(R.A, m, n)
-    XD, YD = _dl_diagonal_parts(R.D, k, r)
-    em = np.zeros(m); em[-1] = 1.0
-    ek = np.zeros(k); ek[-1] = 1.0
-    Y_tr = -np.kron(np.outer(em, ek), R.B)
-    Y_bl = np.kron(np.outer(ek, em), R.C)
-    X = _assemble_four(XA, np.zeros((m * n, k * r)), np.zeros((k * r, m * n)), XD)
-    Y = _assemble_four(YA, Y_tr, Y_bl, YD)
-    W = XA[:, n:] if m > 1 else None
-    W1 = XD[:, r:] if k > 1 else None
-    return AnsatzPencil(X=X, Y=Y, dims=R.dims, space=SPACE_DL, v=em, w=ek, W=W, W1=W1)
-
-
-def _structured_dl(R: Realization, space: str) -> AnsatzPencil:
-    # double-ansatz ray representative with ansatz (e_m, -e_k): negating the
-    # bottom partition makes the off-diagonal blocks transpose into each
-    # other, which is impossible at (e_m, e_k) under the honest sign
-    # convention (it would force C = -B^T instead of C = B^T).
-    m, n, k, r = R.m, R.n, R.k, R.r
-    XA, YA = _dl_diagonal_parts(R.A, m, n)
-    XD, YD = _dl_diagonal_parts(R.D, k, r)
-    em = np.zeros(m); em[-1] = 1.0
-    ek = np.zeros(k); ek[-1] = 1.0
-    Y_tr = -np.kron(np.outer(em, ek), R.B)
-    Y_bl = -np.kron(np.outer(ek, em), R.C)
-    X = _assemble_four(XA, np.zeros((m * n, k * r)), np.zeros((k * r, m * n)), -XD)
-    Y = _assemble_four(YA, Y_tr, Y_bl, -YD)
-    W = XA[:, n:] if m > 1 else None
-    W1 = -XD[:, r:] if k > 1 else None
-    return AnsatzPencil(X=X, Y=Y, dims=R.dims, space=space, v=em, w=-ek, W=W, W1=W1)
+    return _dl_member(R, SPACE_DL, 1.0)
 
 
 def build_symmetric(R: Realization) -> AnsatzPencil:
@@ -303,14 +262,14 @@ def build_symmetric(R: Realization) -> AnsatzPencil:
     """
     if not is_symmetric_realization(R):
         raise StructureError("realization is not symmetric (A_i, D_i symmetric, C^T = B)")
-    return _structured_dl(R, SPACE_SYM)
+    return _dl_member(R, SPACE_SYM, -1.0)
 
 
 def build_hermitian(R: Realization) -> AnsatzPencil:
     """Elementwise Hermitian double-ansatz pencil for Hermitian data."""
     if not is_hermitian_realization(R):
         raise StructureError("realization is not Hermitian (A_i, D_i Hermitian, C* = B)")
-    return _structured_dl(R, SPACE_HERM)
+    return _dl_member(R, SPACE_HERM, -1.0)
 
 
 def _fit_kron_rows(Z: np.ndarray, K: np.ndarray, count: int) -> np.ndarray:
@@ -363,19 +322,19 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G,
     Z_tl, Z_tr = Z[:t, :ct], Z[:t, ct:]
     Z_bl, Z_br = Z[t:, :ct], Z[t:, ct:]
 
-    K_A = _coeff_row(R.A, m, 0)
-    K_D = _coeff_row(R.D, k, 0)
+    K_A = _coeff_row(R.A)
+    K_D = _coeff_row(R.D)
     v = _fit_kron_rows(Z_tl, K_A, m)
     w = _fit_kron_rows(Z_br, K_D, k)
 
     pat_tr = np.zeros_like(Z_tr)
-    pat_tr[:, -r:] = -np.kron(v.reshape(-1, 1), R.B)
+    pat_tr[:, -r:] = -_kron_col(v, R.B)
     pat_bl = np.zeros_like(Z_bl)
-    pat_bl[:, -n:] = np.kron(w.reshape(-1, 1), R.C)
+    pat_bl[:, -n:] = _kron_col(w, R.C)
 
     residual = max(
-        float(np.max(np.abs(Z_tl - np.kron(v.reshape(-1, 1), K_A)))),
-        float(np.max(np.abs(Z_br - np.kron(w.reshape(-1, 1), K_D)))),
+        float(np.max(np.abs(Z_tl - _kron_col(v, K_A)))),
+        float(np.max(np.abs(Z_br - _kron_col(w, K_D)))),
         float(np.max(np.abs(Z_tr - pat_tr))),
         float(np.max(np.abs(Z_bl - pat_bl))),
         float(np.max(np.abs(X[:t, t:]))),
@@ -414,98 +373,62 @@ def sample_space(R: Realization, seed: int, space: str = SPACE_L1G) -> AnsatzPen
         return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
     m, n, k, r = R.m, R.n, R.k, R.r
-    if space in (SPACE_L1S, SPACE_L1G):
-        return build_pencil_L1(R, cvec(m), cvec(k),
-                               cmat(m * n, (m - 1) * n), cmat(k * r, (k - 1) * r), space)
-    if space == SPACE_L2G:
-        return build_pencil_L2(R, cvec(m), cvec(k),
-                               cmat(m * n, (m - 1) * n), cmat(k * r, (k - 1) * r))
-    if space == SPACE_DL:
-        alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        P = build_DL(R)
-        return AnsatzPencil(X=alpha * P.X, Y=alpha * P.Y, dims=P.dims, space=P.space,
-                            v=alpha * P.v, w=alpha * P.w,
-                            W=None if P.W is None else alpha * P.W,
-                            W1=None if P.W1 is None else alpha * P.W1)
-    if space in (SPACE_SYM, SPACE_HERM):
-        P = build_symmetric(R) if space == SPACE_SYM else build_hermitian(R)
-        if space == SPACE_HERM:
-            alpha = complex(rng.standard_normal())
-        else:
-            alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        return AnsatzPencil(X=alpha * P.X, Y=alpha * P.Y, dims=P.dims, space=P.space,
-                            v=alpha * P.v, w=alpha * P.w,
-                            W=None if P.W is None else alpha * P.W,
-                            W1=None if P.W1 is None else alpha * P.W1)
-    raise DimensionError(f"unknown space tag {space!r}")
+    if space in (SPACE_L1S, SPACE_L1G, SPACE_L2G):
+        args = (R, cvec(m), cvec(k), cmat(m * n, (m - 1) * n), cmat(k * r, (k - 1) * r))
+        return build_pencil_L2(*args) if space == SPACE_L2G else build_pencil_L1(*args, space)
+    members = {SPACE_DL: build_DL, SPACE_SYM: build_symmetric, SPACE_HERM: build_hermitian}
+    if space not in members:
+        raise DimensionError(f"unknown space tag {space!r}")
+    P = members[space](R)
+    alpha = complex(rng.standard_normal())
+    if space != SPACE_HERM:
+        alpha += 1j * rng.standard_normal()
+    return AnsatzPencil(X=alpha * P.X, Y=alpha * P.Y, dims=P.dims, space=space,
+                        v=alpha * P.v, w=alpha * P.w, W=alpha * P.W, W1=alpha * P.W1)
 
 
 def _residual_l1s(P: AnsatzPencil, R: Realization, lam: complex) -> float:
     m, n, k, r = R.m, R.n, R.k, R.r
     Irn = padded_identity(r, n)
-    M = np.vstack([
-        np.kron(lambda_vector(m, lam).reshape(-1, 1), np.eye(n)),
-        np.kron(lambda_vector(k, lam).reshape(-1, 1), Irn),
-    ])
-    target = np.vstack([
-        np.kron(P.v.reshape(-1, 1), eval_polymat(R.A, lam) - R.B @ Irn),
-        np.kron(P.w.reshape(-1, 1), R.C + eval_polymat(R.D, lam) @ Irn),
-    ])
+    M = np.vstack([_kron_col(lambda_vector(m, lam), np.eye(n)),
+                   _kron_col(lambda_vector(k, lam), Irn)])
+    target = np.vstack([_kron_col(P.v, eval_polymat(R.A, lam) - R.B @ Irn),
+                        _kron_col(P.w, R.C + eval_polymat(R.D, lam) @ Irn)])
     return float(np.max(np.abs(P(lam) @ M - target)))
 
 
-def _residual_l1g(P: AnsatzPencil, R: Realization, lam: complex) -> float:
-    m, n, k, r = R.m, R.n, R.k, R.r
+def _transfer_residual(X, Y, R: Realization, w, lam: complex, top, bottom) -> float:
+    """``max|(lam X + Y)[top kron A^{-1}B ; bottom kron I_r] - [0 ; w kron G]|``.
+
+    ``top`` and ``bottom`` are the power (or basis) stacks at lam; one
+    guarded solve gives both A(lam)^{-1} B and G(lam).
+    """
     F = solve_state(R, lam, R.B)
     G = R.C @ F + eval_polymat(R.D, lam)
-    M = np.vstack([
-        np.kron(lambda_vector(m, lam).reshape(-1, 1), F),
-        np.kron(lambda_vector(k, lam).reshape(-1, 1), np.eye(r)),
-    ])
-    target = np.vstack([
-        np.zeros((m * n, r), dtype=complex),
-        np.kron(P.w.reshape(-1, 1), G),
-    ])
-    return float(np.max(np.abs(P(lam) @ M - target)))
-
-
-def _residual_l2g(P: AnsatzPencil, R: Realization, lam: complex) -> float:
-    m, n, k, r = R.m, R.n, R.k, R.r
-    CAinv = solve_state_left(R, lam, R.C)
-    G = CAinv @ R.B + eval_polymat(R.D, lam)
-    N = np.hstack([
-        np.kron(lambda_vector(m, lam).reshape(1, -1), -CAinv),
-        np.kron(lambda_vector(k, lam).reshape(1, -1), np.eye(r)),
-    ])
-    target = np.hstack([
-        np.zeros((r, m * n), dtype=complex),
-        np.kron(P.w.reshape(1, -1), G),
-    ])
-    return float(np.max(np.abs(N @ P(lam) - target)))
+    M = np.vstack([_kron_col(top, F), _kron_col(bottom, np.eye(R.r))])
+    out = (lam * X + Y) @ M
+    out[R.m * R.n:] -= _kron_col(w, G)
+    return float(np.max(np.abs(out)))
 
 
 def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
     """Max deviation of the space-defining identity over the sample points.
 
-    First-space pencils are multiplied on the right by the stacked
-    ascending-power lift; the system-matrix variant pads with I_{r x n},
-    the transfer variant uses A(lambda)^{-1} B and targets
-    ``[0 ; w kron G(lambda)]``.  Second-space pencils use the row identity
-    with left factor ``[-Lambda^T kron C A(lambda)^{-1} | Lambda^T kron I]``.
-    The double-ansatz tag checks both identities.  Pole errors from sample
-    points propagate to the caller.
+    First-space pencils (the double-ansatz, symmetric and Hermitian ones
+    included) are multiplied on the right by the stacked power lift; the
+    system-matrix variant pads with I_{r x n}, the transfer variant uses
+    A(lambda)^{-1} B and targets ``[0 ; w kron G(lambda)]``.  Second-space
+    pencils are checked through their transposes, as first-space members
+    of :func:`transpose_realization`; the double-ansatz tag checks both
+    identities.  Pole errors from sample points propagate to the caller.
     """
-    worst = 0.0
-    for lam in lam_samples:
-        if P.space == SPACE_L1S:
-            res = _residual_l1s(P, R, lam)
-        elif P.space in (SPACE_L1G, SPACE_SYM, SPACE_HERM):
-            res = _residual_l1g(P, R, lam)
-        elif P.space == SPACE_L2G:
-            res = _residual_l2g(P, R, lam)
-        elif P.space == SPACE_DL:
-            res = max(_residual_l1g(P, R, lam), _residual_l2g(P, R, lam))
-        else:
-            raise DimensionError(f"unknown space tag {P.space!r}")
-        worst = max(worst, res)
-    return worst
+    if P.space == SPACE_L1S:
+        return max((_residual_l1s(P, R, lam) for lam in lam_samples), default=0.0)
+    sides = []
+    if P.space != SPACE_L2G:
+        sides.append((P.X, P.Y, R))
+    if P.space in (SPACE_L2G, SPACE_DL):
+        sides.append((P.X.T, P.Y.T, transpose_realization(R)))
+    return max((_transfer_residual(X, Y, Rs, P.w, lam, lambda_vector(Rs.m, lam),
+                                   lambda_vector(Rs.k, lam))
+                for lam in lam_samples for X, Y, Rs in sides), default=0.0)

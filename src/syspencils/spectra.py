@@ -38,6 +38,7 @@ from .errors import (
     ZeroAnsatz,
     ZeroPolynomial,
 )
+from .io import encode_vector
 from .spaces import (
     SPACE_L2G,
     AnsatzPencil,
@@ -172,7 +173,7 @@ def pencil_eigvals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return solve_pencil(X, Y, left=False, right=False).eigenvalues
 
 
-def solve_pencil(X, Y=None, *, left: bool = True, right: bool = True) -> PencilEigs:
+def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
     """Finite eigenvalues and eigenvectors of ``lambda X + Y``.
 
     Delegates to the QZ solver for the pair (Y, -X), so that
@@ -185,8 +186,6 @@ def solve_pencil(X, Y=None, *, left: bool = True, right: bool = True) -> PencilE
     This is the package's one QZ call.  scipy is imported here, at the
     first call, so that building pencils never loads it.
     """
-    if Y is None:
-        X, Y = X.X, X.Y
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
@@ -347,8 +346,8 @@ class SpectralReport:
         return {
             "verdict": self.verdict,
             "reason": self.reason,
-            "pencil_eigs": [[z.real, z.imag] for z in self.pencil_eigs],
-            "oracle_roots": [[z.real, z.imag] for z in self.oracle_roots],
+            "pencil_eigs": encode_vector(self.pencil_eigs),
+            "oracle_roots": encode_vector(self.oracle_roots),
             "matching": [[int(i), int(j), float(d)] for (i, j, d) in self.matching],
             "max_eig_error": float(self.max_eig_error),
             "eig_residuals": [float(x) for x in self.eig_residuals],

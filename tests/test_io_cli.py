@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from conftest import cgauss, random_realization, random_symmetric_realization
 
-from syspencils import MatrixPolynomial, Realization, build_C1
+from syspencils import (
+    BasisSpec,
+    MatrixPolynomial,
+    Realization,
+    build_C1,
+    solve_pencil,
+    tilde_to_monomial,
+    verify_linearization,
+)
 from syspencils.cli import main
 from syspencils.io import (
     decode_matrix,
@@ -410,3 +418,70 @@ print(json.dumps(loaded), file=sys.stderr)
     assert done.returncode == 0, done.stderr
     # import, build and dim leave scipy out; the QZ of verify loads it
     assert json.loads(done.stderr.splitlines()[-1]) == [False, False, False, True]
+
+
+@pytest.mark.parametrize("verb, flag, value", [
+    ("verify", "--tol", "0"),
+    ("verify", "--tol-eig", "nan"),
+    ("verify", "--tol-eig", "-1"),
+    ("sample", "--count", "-3"),
+])
+def test_cli_bad_numeric_flag_is_input_error(tmp_path, verb, flag, value):
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, _r1())
+    save_json(pen, pencil_to_dict(build_C1(_r1())))
+    files = ["--input", str(prob)] + (["--pencil", str(pen)] if verb == "verify" else [])
+    done = _run_cli(verb, *files, flag, value)
+    assert done.returncode == 2, done.stdout
+    assert flag in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("verb", ["verify", "solve"])
+def test_cli_basis_on_second_space_pencil_is_input_error(tmp_path, capsys, verb):
+    # Chebyshev stacks apply to first-space pencils only, as in `build`
+    rng = np.random.default_rng(9)
+    prob, pen = tmp_path / "p.json", tmp_path / "c2.json"
+    _write_problem(prob, random_realization(rng, 2, 2, 2, 1))
+    assert main(["build", "--input", str(prob), "--output", str(pen), "--source", "c2"]) == 0
+    assert main([verb, "--pencil", str(pen), "--input", str(prob),
+                 "--basis", "chebyshev"]) == 2
+    assert "first-space" in capsys.readouterr().err
+
+
+def _pairs(values):
+    """Complex values as ``[re, im]`` lists, one per value."""
+    return [[z.real, z.imag] for z in values]
+
+
+@pytest.mark.parametrize("source, dims, basis", [
+    ("c1", (2, 3, 1, 2), "monomial"),
+    ("c2", (2, 4, 2, 2), "monomial"),
+    ("dl", (3, 2, 2, 2), "monomial"),
+    ("sym", (2, 3, 2, 2), "monomial"),
+    ("c1", (3, 2, 2, 1), "chebyshev"),
+])
+def test_cli_verify_and_solve_stdout_write_pairs(tmp_path, capsys, source, dims, basis):
+    # the eigenvalue lists of `verify` and `solve` are the [re, im] pairs of
+    # the computed values, byte for byte
+    rng = np.random.default_rng(21)
+    make = random_symmetric_realization if source == "sym" else random_realization
+    R = make(rng, *dims)
+    prob, pen = tmp_path / "p.json", tmp_path / "pen.json"
+    _write_problem(prob, R)
+    assert main(["build", "--input", str(prob), "--output", str(pen), "--source", source,
+                 "--basis", basis]) == 0
+    P = load_pencil(pen)
+    if basis != "monomial":
+        P = tilde_to_monomial(P, BasisSpec("chebyshev_T", R.m), BasisSpec("chebyshev_T", R.k))
+    args = ["--pencil", str(pen), "--input", str(prob), "--basis", basis]
+    assert main(["verify", *args]) == 0
+    out = capsys.readouterr().out
+    report = verify_linearization(P, R)
+    expect = {**json.loads(out), "pencil_eigs": _pairs(report.pencil_eigs),
+              "oracle_roots": _pairs(report.oracle_roots)}
+    assert out == json.dumps(expect) + "\n"
+    assert main(["solve", *args]) == 0
+    out = capsys.readouterr().out
+    left = P.space == "l2g"
+    eigs = solve_pencil(P.X, P.Y, left=left, right=not left).eigenvalues
+    assert out == json.dumps({**json.loads(out), "eigenvalues": _pairs(eigs)}) + "\n"

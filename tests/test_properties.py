@@ -1,4 +1,6 @@
-"""Property tests: bit-exact JSON round trips and a CLI that never crashes."""
+"""Property tests: bit-exact JSON round trips, a CLI that never crashes and
+the ansatz-space invariants (membership round trips, transpose duality,
+residuals of double-ansatz members) over generated realizations."""
 
 import contextlib
 import copy
@@ -11,10 +13,23 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from syspencils import BlockDims, MatrixPolynomial, Realization, build_C1  # noqa: E402
+from syspencils import (  # noqa: E402
+    BlockDims,
+    MatrixPolynomial,
+    Realization,
+    build_C1,
+    build_pencil_L1,
+    build_pencil_L2,
+    membership,
+    nonpole_samples,
+    residual_ansatz,
+    sample_space,
+    transpose_realization,
+)
+from syspencils.core import realization_scale  # noqa: E402
 from syspencils.cli import main  # noqa: E402
 from syspencils.io import (  # noqa: E402
     decode_matrix,
@@ -25,7 +40,7 @@ from syspencils.io import (  # noqa: E402
     problem_to_dict,
     save_json,
 )
-from syspencils.spaces import SPACE_L1G, AnsatzPencil  # noqa: E402
+from syspencils.spaces import SPACE_L1G, SPACE_L1S, SPACE_L2G, AnsatzPencil  # noqa: E402
 
 #: Signed zeros, subnormals and extreme exponents, mixed with any finite float.
 _EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -130,3 +145,89 @@ def test_cli_survives_fuzzed_files(data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             code = main(argv)
     assert code in (0, 1, 2, 3), out.getvalue()
+
+
+def _realization(dims, zero, seed, kind="general"):
+    """Gaussian data of block sizes ``dims``; ``zero`` names a vanishing B or C.
+
+    Symmetric and Hermitian data tie C to B, so either choice zeroes both.
+    """
+    m, n, k, r = dims
+    rng = np.random.default_rng(seed)
+
+    def cg(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    op = {"general": None, "sym": np.transpose, "herm": lambda M: M.conj().T}[kind]
+    A = [cg(n, n) for _ in range(m + 1)]
+    D = [cg(r, r) for _ in range(k + 1)]
+    B = np.zeros((n, r)) if zero == "B" else cg(n, r)
+    C = np.zeros((r, n)) if zero == "C" else cg(r, n)
+    if op is not None:
+        A = [(M + op(M)) / 2 for M in A]
+        D = [(M + op(M)) / 2 for M in D]
+        B = np.zeros((n, r)) if zero else B
+        C = op(B)
+    return Realization(A=MatrixPolynomial(tuple(A)), B=B, C=C, D=MatrixPolynomial(tuple(D)))
+
+
+dims_st = st.tuples(*[st.integers(1, 3)] * 4)
+zero_st = st.sampled_from([None, "B", "C"])
+seed_st = st.integers(0, 2**32 - 1)
+_FAST = settings(max_examples=40, deadline=None)
+
+
+@_FAST
+@given(dims_st, zero_st, seed_st, st.sampled_from([SPACE_L1G, SPACE_L1S, SPACE_L2G]))
+@example((1, 1, 3, 2), "B", 0, SPACE_L2G)  # r > n, m != k
+@example((3, 2, 1, 1), "C", 1, SPACE_L1S)
+def test_membership_recovers_the_ansatz_pair(dims, zero, seed, space):
+    m, n, k, r = dims
+    assume(space != SPACE_L1S or r <= n)  # the system-matrix identity needs r <= n
+    R = _realization(dims, zero, seed)
+    rng = np.random.default_rng(seed + 1)
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    W = rng.standard_normal((m * n, (m - 1) * n)) if m > 1 else None
+    W1 = rng.standard_normal((k * r, (k - 1) * r)) if k > 1 else None
+    if space == SPACE_L2G:
+        P = build_pencil_L2(R, v, w, W, W1)
+    else:
+        P = build_pencil_L1(R, v, w, W, W1, space)
+    got_v, got_w = membership(P.X, P.Y, R, space)
+    assert np.allclose(got_v, v, rtol=1e-10, atol=1e-12)
+    assert np.allclose(got_w, w, rtol=1e-10, atol=1e-12)
+
+
+@_FAST
+@given(dims_st, zero_st, seed_st)
+@example((2, 1, 1, 3), "C", 2)  # r > n, m != k
+def test_second_space_member_transposes_into_the_first_space(dims, zero, seed):
+    R = _realization(dims, zero, seed)
+    P = sample_space(R, seed, SPACE_L2G)
+    Rt = transpose_realization(R)
+    got_v, got_w = membership(P.X.T, P.Y.T, Rt, SPACE_L1G)
+    assert np.allclose(got_v, P.v, rtol=1e-10, atol=1e-12)
+    assert np.allclose(got_w, P.w, rtol=1e-10, atol=1e-12)
+    first = AnsatzPencil(X=P.X.T, Y=P.Y.T, dims=R.dims, space=SPACE_L1G, v=P.v, w=P.w)
+    samples = nonpole_samples(R, 4, seed=seed % 1000)
+    tol = 1e-10 * (1.0 + realization_scale(R))
+    assert residual_ansatz(first, Rt, samples) <= tol
+    assert residual_ansatz(P, R, samples) <= tol
+
+
+@_FAST
+@given(dims_st, zero_st, seed_st, st.sampled_from(["dl", "sym", "herm"]))
+@example((1, 2, 3, 3), "B", 3, "dl")  # r > n, m != k
+@example((3, 1, 2, 2), None, 4, "herm")
+def test_double_ansatz_residual_within_tolerance_and_perturbation_exceeds_it(
+        dims, zero, seed, space):
+    R = _realization(dims, zero, seed, kind={"dl": "general"}.get(space, space))
+    P = sample_space(R, seed, space)
+    samples = nonpole_samples(R, 4, seed=seed % 1000)
+    tol = 1e-10 * (1.0 + realization_scale(R))  # the default of verify_linearization
+    assert residual_ansatz(P, R, samples) <= tol
+    rng = np.random.default_rng(seed + 2)
+    noise = rng.standard_normal(P.Y.shape) * 1e-6 * np.max(np.abs(P.Y))
+    bad = AnsatzPencil(X=P.X, Y=P.Y + noise, dims=P.dims, space=space, v=P.v, w=P.w)
+    assert residual_ansatz(bad, R, samples) > tol

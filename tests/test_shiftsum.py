@@ -4,7 +4,6 @@ from conftest import cgauss, random_realization
 
 from syspencils import (
     BlockDims,
-    BlockMatrix,
     DimensionError,
     block_shift_sum,
     block_transpose,
@@ -16,44 +15,43 @@ from syspencils import (
 )
 
 
-def blk(data, d, size):
-    return BlockMatrix(data=np.asarray(data, dtype=complex), block_rows=d,
-                       block_cols=d, blk_r=size, blk_c=size)
-
-
 def test_col_shift_sum_identity_and_zero():
-    X = blk(np.eye(2), 2, 1)
-    Z = blk(np.zeros((2, 2)), 2, 1)
-    assert np.array_equal(col_shift_sum(X, Z), np.array([[1, 0, 0], [0, 1, 0]]))
-    assert np.array_equal(col_shift_sum(Z, X), np.array([[0, 1, 0], [0, 0, 1]]))
+    X = np.eye(2)
+    Z = np.zeros((2, 2))
+    assert np.array_equal(col_shift_sum(X, Z, 1), np.array([[1, 0, 0], [0, 1, 0]]))
+    assert np.array_equal(col_shift_sum(Z, X, 1), np.array([[0, 1, 0], [0, 0, 1]]))
 
 
 def test_col_shift_sum_general_scalar_blocks():
-    X = blk([[1, 2], [3, 4]], 2, 1)
-    Y = blk([[5, 6], [7, 8]], 2, 1)
+    X = np.array([[1, 2], [3, 4]])
+    Y = np.array([[5, 6], [7, 8]])
     expected = np.array([[1, 2 + 5, 6], [3, 4 + 7, 8]])
-    assert np.array_equal(col_shift_sum(X, Y), expected)
+    assert np.array_equal(col_shift_sum(X, Y, 1), expected)
 
 
 def test_row_shift_sum_identity_and_zero():
-    X = blk(np.eye(2), 2, 1)
-    Z = blk(np.zeros((2, 2)), 2, 1)
-    assert np.array_equal(row_shift_sum(X, Z), np.array([[1, 0], [0, 1], [0, 0]]))
-    assert np.array_equal(row_shift_sum(Z, X), np.array([[0, 0], [1, 0], [0, 1]]))
+    X = np.eye(2)
+    Z = np.zeros((2, 2))
+    assert np.array_equal(row_shift_sum(X, Z, 1), np.array([[1, 0], [0, 1], [0, 0]]))
+    assert np.array_equal(row_shift_sum(Z, X, 1), np.array([[0, 0], [1, 0], [0, 1]]))
 
 
 def test_row_shift_is_transpose_of_col_shift():
     rng = np.random.default_rng(0)
     X = cgauss(rng, 4, 4)
     Y = cgauss(rng, 4, 4)
-    a = row_shift_sum(blk(X.T, 2, 2), blk(Y.T, 2, 2))
-    b = col_shift_sum(blk(X, 2, 2), blk(Y, 2, 2)).T
+    a = row_shift_sum(X.T, Y.T, 2)
+    b = col_shift_sum(X, Y, 2).T
     assert np.allclose(a, b)
 
 
 def test_grid_mismatch_raises():
     with pytest.raises(DimensionError):
-        col_shift_sum(blk(np.eye(2), 2, 1), blk(np.eye(4), 2, 2))
+        col_shift_sum(np.eye(2), np.eye(4), 1)
+    with pytest.raises(DimensionError):
+        col_shift_sum(np.eye(3), np.eye(3), 2)
+    with pytest.raises(DimensionError):
+        row_shift_sum(np.eye(3), np.eye(3), 2)
 
 
 def test_block_shift_sum_r1_example(r1):

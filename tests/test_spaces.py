@@ -174,6 +174,45 @@ def test_dl_satisfies_both_identities_and_membership():
         assert np.allclose(z, np.eye(k)[k - 1], atol=1e-12)
 
 
+def _dl_partition_reference(P, deg, blk):
+    """X and Y of one diagonal partition of the double-ansatz pencil, by the
+    defining block formulas: X(i, j) = P_{2d+1-i-j} for i + j >= d + 1;
+    Y(i, j) = -P_{2d-i-j} for i, j <= d - 1 and i + j >= d, plus P_0 at (d, d)."""
+    X = np.zeros((deg * blk, deg * blk), dtype=complex)
+    Y = np.zeros((deg * blk, deg * blk), dtype=complex)
+    for i in range(1, deg + 1):
+        for j in range(1, deg + 1):
+            block = np.s_[(i - 1) * blk : i * blk, (j - 1) * blk : j * blk]
+            if i + j >= deg + 1:
+                X[block] = P.coefficient(2 * deg + 1 - i - j)
+            if i <= deg - 1 and j <= deg - 1 and i + j >= deg:
+                Y[block] = -P.coefficient(2 * deg - i - j)
+    Y[(deg - 1) * blk :, (deg - 1) * blk :] = P.coefficient(0)
+    return X, Y
+
+
+@pytest.mark.parametrize("kind", ["dl", "sym", "herm"])
+def test_double_ansatz_members_match_block_formulas(kind):
+    # the first-space assembler with anti-Hankel free blocks reproduces the
+    # anti-Hankel layout exactly; sym and herm negate the bottom partition
+    rng = np.random.default_rng(14)
+    make = {"dl": random_realization, "sym": random_symmetric_realization,
+            "herm": random_hermitian_realization}[kind]
+    build = {"dl": build_DL, "sym": build_symmetric, "herm": build_hermitian}[kind]
+    sign = 1.0 if kind == "dl" else -1.0
+    for (m, n, k, r) in ((1, 1, 1, 1), (2, 2, 3, 1), (3, 1, 1, 2), (4, 2, 2, 3)):
+        R = make(rng, m, n, k, r)
+        P = build(R)
+        XA, YA = _dl_partition_reference(R.A, m, n)
+        XD, YD = _dl_partition_reference(R.D, k, r)
+        e = np.outer(np.eye(m)[m - 1], np.eye(k)[k - 1])
+        X = np.block([[XA, np.zeros((m * n, k * r))], [np.zeros((k * r, m * n)), sign * XD]])
+        Y = np.block([[YA, -np.kron(e, R.B)], [sign * np.kron(e.T, R.C), sign * YD]])
+        assert np.array_equal(P.X, X) and np.array_equal(P.Y, Y)
+        assert np.array_equal(P.v, np.eye(m)[m - 1])
+        assert np.array_equal(P.w, sign * np.eye(k)[k - 1])
+
+
 def test_symmetric_scalar_r1(r1):
     # the symmetric ray representative negates the bottom partition, so it
     # differs entrywise from the companion pencil but shares its spectrum
