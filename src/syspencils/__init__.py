@@ -33,7 +33,6 @@ from .errors import (
     SolverFailure,
     StructureError,
     ZeroAnsatz,
-    ZeroPolynomial,
 )
 from .shiftsum import (
     block_shift_sum,
@@ -67,7 +66,6 @@ from .spectra import (
     RecoveredVector,
     SpectralReport,
     ZRankCertificate,
-    det_scalar_poly,
     f_map,
     g_map,
     lift_left,
@@ -75,7 +73,6 @@ from .spectra import (
     match_multisets,
     nonpole_samples,
     pencil_eigvals,
-    poly_roots,
     recover_left,
     recover_right,
     solve_pencil,

@@ -46,6 +46,9 @@ _BUILDERS = {
     "herm": spaces.build_hermitian, "hermitian": spaces.build_hermitian,
 }
 
+#: Spaces an explicit ansatz can be built in; every other source fixes its own.
+_EXPLICIT_SPACES = (spaces.SPACE_L1S, spaces.SPACE_L1G, spaces.SPACE_L2G)
+
 
 def _emit(obj):
     sys.stdout.write(json.dumps(obj) + "\n")
@@ -114,10 +117,13 @@ def _basis_specs(basis: str, P, R):
 
 
 def cmd_build(args) -> int:
+    if args.space is not None and args.source != "explicit":
+        raise ValueError(f"--space applies to --source explicit only; "
+                         f"{args.source!r} fixes its own space")
     with _reading():
         R, options = load_problem(args.input)
     if args.source == "explicit":
-        P = _build_explicit(R, args.space, options)
+        P = _build_explicit(R, args.space or spaces.SPACE_L1G, options)
     else:
         P = _BUILDERS[args.source](R)
     specs = _basis_specs(args.basis, P, R)
@@ -210,8 +216,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a pencil from a problem file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--space", default=spaces.SPACE_L1G,
-                   choices=["l1s", "l1g", "l2g", "dl"])
+    p.add_argument("--space", choices=_EXPLICIT_SPACES,
+                   help=f"space of an explicit pencil (default {spaces.SPACE_L1G})")
     p.add_argument("--source", default="c1", choices=sorted([*_BUILDERS, "explicit"]))
     p.add_argument("--basis", default="monomial",
                    help="monomial | chebyshev | newton:<comma separated nodes>")
@@ -239,8 +245,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--count", type=_non_negative_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--space", default=spaces.SPACE_L1G,
-                   choices=["l1s", "l1g", "l2g", "dl", "sym", "herm"])
+    p.add_argument("--space", default=spaces.SPACE_L1G, choices=sorted(spaces.SPACES))
     p.add_argument("--output", default=None,
                    help="prefix for the written pencil files")
     p.set_defaults(func=cmd_sample)

@@ -184,9 +184,9 @@ class Realization:
     """State-space data (A(lambda), B, C, D(lambda)) of a transfer function.
 
     ``A`` is n x n of degree m >= 1 and ``D`` is r x r of degree k >= 1;
-    both degrees are structural.  Regularity of A(lambda) is not enforced
-    here; it is certified lazily by the determinant oracle in
-    :mod:`syspencils.spectra`.
+    both degrees are structural.  Regularity is not enforced here;
+    :func:`syspencils.spectra.system_zeros` raises SingularSystem when the
+    system matrix S(lambda) is singular.
     """
 
     A: MatrixPolynomial

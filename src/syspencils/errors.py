@@ -26,11 +26,7 @@ class DegenerateFit(PencilError):
 
 
 class InterpolationError(PencilError):
-    """Determinant interpolation failed (overflow or non-finite values)."""
-
-
-class ZeroPolynomial(PencilError):
-    """Scalar polynomial is identically zero; roots are undefined."""
+    """Too few sample points away from the poles of G could be drawn."""
 
 
 class SingularSystem(PencilError):

@@ -1,14 +1,14 @@
-"""Spectral verification: determinant oracle, eigensolves and recovery.
+"""Spectral verification: reference zeros, eigensolves and recovery.
 
-The zero set of a realization is computed through an independent oracle:
-the scalar polynomial det S(lambda) is recovered by DFT interpolation of
-evaluations at scaled roots of unity, and its roots come from a balanced
-companion eigensolve.  Pencil spectra come from a QZ solve of the pair
-(Y, -X).  The two routes are compared as multisets by a greedy
-nearest-neighbour matching; agreement at tolerance, together with the
-ansatz residual, is the linearization verdict.  Full Z-rank of the
-reduced diagonal parts is reported as the sufficient-condition
-certificate.
+The zeros of a realization are the finite eigenvalues of the textbook
+block companion pencil of its system matrix S(lambda), a pencil built
+from S alone and independent of the ansatz space under test.  Pencil
+and reference spectra both come from one QZ solve of the pair (Y, -X),
+with one finiteness rule and one regularity test.  The two are compared
+as multisets by a greedy nearest-neighbour matching; agreement at
+tolerance, together with the ansatz residual, is the linearization
+verdict.  Full Z-rank of the reduced diagonal parts is reported as the
+sufficient-condition certificate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     BlockDims,
-    MatrixPolynomial,
     Realization,
     build_system_matrix,
     eval_polymat,
@@ -36,7 +35,6 @@ from .errors import (
     SingularSystem,
     SolverFailure,
     ZeroAnsatz,
-    ZeroPolynomial,
 )
 from .io import encode_vector
 from .spaces import (
@@ -51,8 +49,6 @@ __all__ = [
     "ZRankCertificate",
     "PencilEigs",
     "RecoveredVector",
-    "det_scalar_poly",
-    "poly_roots",
     "system_zeros",
     "solve_pencil",
     "pencil_eigvals",
@@ -71,79 +67,26 @@ __all__ = [
 #: |beta| below this fraction of ||(alpha, beta)|| counts as infinite.
 INF_EIG_RTOL = 1e-10
 
-#: Radius ladder for determinant interpolation nodes; tried in order.
-_RADII = (1.0, 1.37, 0.71, 1.9, 0.53, 1.13, 0.87, 1.61)
-
-
-def det_scalar_poly(P: MatrixPolynomial, trim_rtol: float = 1e-10) -> np.ndarray:
-    """Coefficients (ascending) of det P(lambda) by node interpolation.
-
-    det P has degree at most s*d for an s x s polynomial of degree d, so
-    it is interpolated exactly from s*d + 1 evaluations at roots of unity
-    scaled by a radius from a fixed ladder; a new radius is tried whenever
-    an evaluation overflows.  Trailing coefficients below ``trim_rtol``
-    relative to the largest are trimmed.
-    """
-    if P.rows != P.cols:
-        raise DimensionError("determinant needs a square matrix polynomial")
-    s, d = P.rows, P.degree
-    if d == 0:
-        return np.array([np.linalg.det(P.coeffs[0])])
-    N = s * d + 1
-    nodes_base = np.exp(2j * np.pi * np.arange(N) / N)
-    for radius in _RADII:
-        vals = np.array([np.linalg.det(eval_polymat(P, radius * t)) for t in nodes_base])
-        if np.all(np.isfinite(vals)):
-            # values at radius * omega^j; forward DFT / N picks out c_t * radius^t
-            coeffs = np.fft.fft(vals) / N / radius ** np.arange(N)
-            return _trim_trailing(coeffs, trim_rtol)
-    raise InterpolationError("determinant evaluations overflowed on every node radius")
-
-
-def _trim_trailing(coeffs: np.ndarray, rtol: float) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=complex)
-    top = float(np.max(np.abs(coeffs)))
-    if top == 0.0:
-        return coeffs[:1]
-    keep = len(coeffs)
-    while keep > 1 and abs(coeffs[keep - 1]) <= rtol * top:
-        keep -= 1
-    return coeffs[:keep]
-
-
-def poly_roots(coeffs, trim_rtol: float = 1e-10) -> np.ndarray:
-    """Roots of a scalar polynomial with ascending coefficients.
-
-    The trimmed degree defines the root count; roots come from the
-    balanced companion eigensolve behind ``numpy.roots``.
-    """
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if coeffs.size == 0 or not np.any(np.abs(coeffs) > 0):
-        raise ZeroPolynomial("all coefficients vanish")
-    coeffs = _trim_trailing(coeffs, trim_rtol)
-    if len(coeffs) == 1:
-        return np.array([], dtype=complex)
-    return np.roots(coeffs[::-1])
-
-
-def _hadamard_scale(M: np.ndarray) -> float:
-    norms = np.linalg.norm(M, axis=1)
-    return float(np.prod(np.maximum(norms, 1e-30)))
-
-
 def system_zeros(R: Realization) -> np.ndarray:
-    """Multiset of system zeros: the roots of det S(lambda).
+    """Multiset of system zeros: the finite eigenvalues of S(lambda).
 
-    Raises SingularSystem when det S vanishes identically to tolerance
-    (measured against a Hadamard bound of the evaluations).
+    They are the finite QZ eigenvalues of the block companion pencil
+    ``lambda X + Y`` of ``S(lambda) = sum_j lambda^j S_j`` of degree d, with
+    ``X = diag(S_d, I, ..., I)``, first block row of ``Y`` equal to
+    ``[S_{d-1}, ..., S_0]`` and ``-I`` on its block subdiagonal.  Pencil and
+    reference thus share one QZ call, one finiteness rule and one
+    regularity test.  Raises SingularSystem when S(lambda) is singular.
     """
-    S = build_system_matrix(R)
-    probe = [0.83 + 0.31j, -1.27 + 0.66j, 0.44 - 1.52j]
-    dets = [abs(np.linalg.det(eval_polymat(S, lam))) for lam in probe]
-    scales = [_hadamard_scale(eval_polymat(S, lam)) for lam in probe]
-    if all(d <= 1e-10 * s for d, s in zip(dets, scales)):
-        raise SingularSystem("det S(lambda) vanishes identically to tolerance")
-    return poly_roots(det_scalar_poly(S))
+    S = build_system_matrix(R).coeffs
+    s, d = S[0].shape[0], len(S) - 1
+    X = np.eye(s * d, dtype=complex)
+    X[:s, :s] = S[d]
+    Y = np.zeros_like(X)
+    Y[:s] = np.hstack(S[d - 1::-1])
+    Y[s:, :-s] = -np.eye(s * (d - 1))
+    if not _pencil_is_regular(X, Y):
+        raise SingularSystem("S(lambda) is singular at every probe point")
+    return solve_pencil(X, Y, left=False, right=False).eigenvalues
 
 
 def _pencil_is_regular(X: np.ndarray, Y: np.ndarray) -> bool:
@@ -207,33 +150,26 @@ def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
     return PencilEigs(eigenvalues=alpha[finite] / beta[finite], right=vr, left=vl)
 
 
-def _eig_distance(a: complex, b: complex) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
 def match_multisets(a, b) -> tuple[list[tuple[int, int, float]], float]:
     """Greedy nearest-neighbour matching of two equal-size multisets.
 
     Entries of ``a`` are visited in decreasing magnitude and paired with
-    the nearest unused entry of ``b`` under a scale-aware distance.
-    Adequate at desk scale; not an optimal assignment.
+    the nearest unused entry of ``b`` under the scale-aware distance
+    ``|a - b| / max(1, |a|, |b|)``.  This is not an optimal assignment;
+    the verdict reads the largest distance among these greedy pairs.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.size != b.size:
         raise DimensionError("multisets differ in size")
-    order = np.argsort(-np.abs(a), kind="stable")
-    free = list(range(b.size))
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    dist = np.abs(a[:, None] - b) / np.maximum(np.maximum(abs_a[:, None], abs_b), 1.0)
     pairs = []
-    worst = 0.0
-    for i in order:
-        dists = [_eig_distance(a[i], b[j]) for j in free]
-        jloc = int(np.argmin(dists))
-        j = free.pop(jloc)
-        d = dists[jloc]
-        pairs.append((int(i), j, d))
-        worst = max(worst, d)
-    return pairs, worst
+    for i in np.argsort(-abs_a, kind="stable"):
+        j = int(np.argmin(dist[i]))
+        pairs.append((int(i), j, float(dist[i, j])))
+        dist[:, j] = np.inf
+    return pairs, max((d for _, _, d in pairs), default=0.0)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,31 @@
 
 These stay deliberately separate from the package implementations they
 check: the space dimension comes from the nullity of an explicitly built
-constraint matrix, never from the closed formula under test.
+constraint matrix, never from the closed formula under test, and the
+zeros of det P come from its scalar interpolant, never from a pencil.
 """
 
 import numpy as np
 
-from syspencils import Realization, block_shift_sum
+from syspencils import Realization, block_shift_sum, eval_polymat
+
+
+def det_scalar_poly(P) -> np.ndarray:
+    """Ascending coefficients of det P(lambda), square P of degree d.
+
+    det P has degree at most s*d, so it is interpolated exactly from its
+    values at the s*d + 1 roots of unity; trailing coefficients below
+    1e-10 of the largest are dropped.
+    """
+    N = P.rows * P.degree + 1
+    nodes = np.exp(2j * np.pi * np.arange(N) / N)
+    coeffs = np.fft.fft([np.linalg.det(eval_polymat(P, t)) for t in nodes]) / N
+    return coeffs[: np.flatnonzero(np.abs(coeffs) > 1e-10 * np.abs(coeffs).max())[-1] + 1]
+
+
+def det_roots(P) -> np.ndarray:
+    """Roots of det P(lambda), by numpy's companion eigensolve."""
+    return np.roots(det_scalar_poly(P)[::-1])
 
 
 def shifted_sum_pattern(v, w, R: Realization) -> np.ndarray:

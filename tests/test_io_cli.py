@@ -436,6 +436,30 @@ def test_cli_bad_numeric_flag_is_input_error(tmp_path, verb, flag, value):
     assert flag in done.stderr and "Traceback" not in done.stderr
 
 
+def test_cli_build_space_with_a_fixed_space_source_is_input_error(tmp_path):
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, _r1())
+    done = _run_cli("build", "--input", str(prob), "--output", str(pen),
+                    "--source", "c1", "--space", "l2g")
+    assert done.returncode == 2
+    assert "--space" in done.stderr and "Traceback" not in done.stderr
+    assert not pen.exists()
+
+
+def test_cli_build_explicit_offers_only_explicit_spaces(tmp_path):
+    prob = tmp_path / "p.json"
+    _write_problem(prob, _r1(), {"ansatz": {"v": [[1.0, 0.0]], "w": [[1.0, 0.0]]}})
+    done = _run_cli("build", "--input", str(prob), "--output", str(tmp_path / "x.json"),
+                    "--source", "explicit", "--space", "dl")
+    assert done.returncode == 2
+    assert "--space" in done.stderr and "Traceback" not in done.stderr
+    for space in ("l1s", "l2g"):
+        pen = tmp_path / f"{space}.json"
+        assert main(["build", "--input", str(prob), "--output", str(pen),
+                     "--source", "explicit", "--space", space]) == 0
+        assert load_pencil(pen).space == space
+
+
 @pytest.mark.parametrize("verb", ["verify", "solve"])
 def test_cli_basis_on_second_space_pencil_is_input_error(tmp_path, capsys, verb):
     # Chebyshev stacks apply to first-space pencils only, as in `build`

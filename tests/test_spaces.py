@@ -6,7 +6,7 @@ from conftest import (
     random_realization,
     random_symmetric_realization,
 )
-from oracles import constraint_nullity
+from oracles import constraint_nullity, det_scalar_poly
 
 from syspencils import (
     SPACE_DL,
@@ -27,7 +27,6 @@ from syspencils import (
     build_pencil_L1,
     build_pencil_L2,
     build_symmetric,
-    det_scalar_poly,
     dim_space,
     membership,
     nonpole_samples,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import cgauss, random_realization
+from oracles import det_roots, det_scalar_poly
 
 from syspencils import (
     DegenerateVector,
@@ -8,13 +9,11 @@ from syspencils import (
     Realization,
     SingularSystem,
     ZeroAnsatz,
-    ZeroPolynomial,
     build_C1,
     build_C2,
     build_DL,
     build_pencil_L1,
     build_system_matrix,
-    det_scalar_poly,
     eval_polymat,
     eval_transfer,
     f_map,
@@ -23,7 +22,6 @@ from syspencils import (
     lift_right,
     match_multisets,
     pencil_eigvals,
-    poly_roots,
     recover_left,
     recover_right,
     sample_space,
@@ -43,18 +41,6 @@ def test_det_scalar_poly_degree_zero_and_diag():
     assert np.allclose(det_scalar_poly(MatrixPolynomial((np.eye(2),))), [1])
     lam_diag = MatrixPolynomial((np.zeros((2, 2)), np.eye(2)))  # diag(lambda, lambda)
     assert np.allclose(det_scalar_poly(lam_diag), [0, 0, 1], atol=1e-12)
-
-
-def test_poly_roots():
-    _, worst = match_multisets(poly_roots([1, -2, 1]), [1.0, 1.0])
-    assert worst < 1e-7  # double root: sqrt(eps)-level splitting expected
-    _, worst = match_multisets(poly_roots([1, 0, 1]), [-1j, 1j])
-    assert worst < 1e-12
-    roots = poly_roots([1, 1, 0, 1])  # lambda^3 + lambda + 1
-    for root in roots:
-        assert abs(1 + root + root**3) < 1e-10
-    with pytest.raises(ZeroPolynomial):
-        poly_roots([0.0, 0.0])
 
 
 def test_system_zeros(r1, r2):
@@ -77,6 +63,39 @@ def test_system_zeros_singular_system():
                     C=np.zeros((2, 1)), D=D)
     with pytest.raises(SingularSystem):
         system_zeros(R)
+
+
+def test_system_zeros_match_determinant_roots():
+    rng = np.random.default_rng(14)
+    for dims in [(1, 1, 1, 1), (2, 1, 1, 2), (1, 2, 3, 1), (3, 2, 2, 1), (2, 3, 1, 2)]:
+        R = random_realization(rng, *dims)
+        zeros = system_zeros(R)
+        roots = det_roots(build_system_matrix(R))
+        assert zeros.size == roots.size == R.dims.size
+        _, worst = match_multisets(zeros, roots)
+        assert worst < 1e-8, (dims, worst)
+
+
+@pytest.mark.parametrize("dims", [(2, 30, 2, 5), (3, 40, 2, 10)])
+def test_verify_passes_companions_and_dl_at_large_n(dims):
+    # sizes where interpolating det S(lambda) loses zeros (N = 70) or reads
+    # S(lambda) as singular (N = 140)
+    R = random_realization(np.random.default_rng(70), *dims)
+    for build in (build_C1, build_C2, build_DL):
+        report = verify_linearization(build(R), R)
+        assert report.passed, (build.__name__, report.reason)
+        assert report.pencil_eigs.size == R.dims.size
+
+
+def test_verify_keeps_a_huge_zero_of_a_tiny_leading_coefficient():
+    # D_1 = -1.6e-10 puts one zero near -2e9
+    R = Realization(A=MatrixPolynomial.from_scalars(0.7 - 0.2j, 1.3 + 0.4j),
+                    B=np.array([[0.9 + 0.1j]]), C=np.array([[-0.5 + 0.8j]]),
+                    D=MatrixPolynomial.from_scalars(0.3 + 0.6j, -1.6e-10))
+    assert system_zeros(R).size == 2
+    for build in (build_C1, build_C2, build_DL):
+        report = verify_linearization(build(R), R)
+        assert report.passed, (build.__name__, report.reason)
 
 
 def test_solve_pencil_examples(r1):
@@ -166,6 +185,22 @@ def test_match_multisets():
     assert worst < 1e-8
     with pytest.raises(Exception):
         match_multisets([1.0], [1.0, 2.0])
+    # the greedy loop is the reference: same pairs, distances to a few ulps
+    rng = np.random.default_rng(15)
+    for n in (0, 1, 5, 30):
+        a = cgauss(rng, n) * 10.0 ** rng.uniform(-3, 6, n)
+        a[: n // 3] = a[-1:]  # duplicates
+        b = rng.permutation(a) * (1 + 1e-9 * cgauss(rng, n))
+        free, expected = list(range(n)), []
+        for i in np.argsort(-np.abs(a), kind="stable"):
+            dists = [abs(a[i] - b[j]) / max(1.0, abs(a[i]), abs(b[j])) for j in free]
+            jloc = int(np.argmin(dists))
+            expected.append((int(i), free.pop(jloc), dists[jloc]))
+        pairs, worst = match_multisets(a, b)
+        assert [p[:2] for p in pairs] == [e[:2] for e in expected]
+        np.testing.assert_allclose([p[2] for p in pairs], [e[2] for e in expected],
+                                   rtol=4 * np.finfo(float).eps, atol=0)
+        assert worst == max((p[2] for p in pairs), default=0.0)
 
 
 def test_z_rank_companion(r2):
@@ -392,9 +427,8 @@ def test_pencil_det_matches_solver():
     rng = np.random.default_rng(8)
     for _ in range(5):
         X, Y = cgauss(rng, 6, 6), cgauss(rng, 6, 6)
-        coeffs = det_scalar_poly(MatrixPolynomial((Y, X)))
-        assert len(coeffs) - 1 <= 6
-        roots = poly_roots(coeffs)
+        roots = det_roots(MatrixPolynomial((Y, X)))
+        assert roots.size == 6
         eigs = solve_pencil(X, Y).eigenvalues
         _, worst = match_multisets(roots, eigs)
         assert worst < 1e-8
