@@ -63,14 +63,6 @@ class BasisSpec:
             object.__setattr__(self, "rows", rows)
 
 
-def _ascending_to_row(asc: np.ndarray, d: int) -> np.ndarray:
-    # coefficients ascending in degree -> row against [l^{d-1}, ..., l, 1]
-    row = np.zeros(d, dtype=complex)
-    for j, c in enumerate(asc):
-        row[d - 1 - j] = c
-    return row
-
-
 def phi_matrix(spec: BasisSpec) -> np.ndarray:
     """The matrix with ``Phi Lambda(lambda) = [phi_0, ..., phi_{d-1}]^T``.
 
@@ -81,40 +73,32 @@ def phi_matrix(spec: BasisSpec) -> np.ndarray:
     d = spec.d
     if spec.kind == "monomial":
         return np.eye(d)[::-1].astype(complex)
-    if spec.kind == "chebyshev_T":
-        polys = [np.array([1.0 + 0j]), np.array([0.0, 1.0 + 0j])]
-        while len(polys) < d:
-            prev, cur = polys[-2], polys[-1]
-            nxt = np.zeros(len(cur) + 1, dtype=complex)
-            nxt[1:] = 2.0 * cur
-            nxt[: len(prev)] -= prev
-            polys.append(nxt)
-        Phi = np.array([_ascending_to_row(p, d) for p in polys[:d]])
-    elif spec.kind == "newton":
+    if spec.kind == "newton":
         for i, a in enumerate(spec.nodes):
             for b in spec.nodes[i + 1:]:
                 if abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)):
                     raise SingularBasis(f"duplicate newton nodes {a} and {b}")
-        polys = [np.array([1.0 + 0j])]
-        for node in spec.nodes:
-            polys.append(np.convolve(polys[-1], np.array([-node, 1.0 + 0j])))
-        Phi = np.array([_ascending_to_row(p, d) for p in polys[:d]])
-    else:
+    if spec.kind == "custom":
         Phi = np.array(spec.rows, dtype=complex)
+    else:
+        # loaded at the first call, so that importing the package does not load them
+        from numpy.polynomial import chebyshev, polynomial
+
+        # phi_j in ascending powers, reversed and zero-padded to descending ones
+        asc = [chebyshev.cheb2poly(np.eye(j + 1)[j]) if spec.kind == "chebyshev_T"
+               else polynomial.polyfromroots(spec.nodes[:j]) for j in range(d)]
+        Phi = np.array([np.pad(c[::-1], (d - 1 - j, 0)) for j, c in enumerate(asc)], dtype=complex)
     sv = np.linalg.svd(Phi, compute_uv=False)
     if sv[-1] <= 1e-12 * max(sv[0], 1.0):
         raise SingularBasis("basis matrix is singular to tolerance")
     return Phi
 
 
-def _right_transform(Phi: np.ndarray, Psi: np.ndarray, n: int, r: int,
-                     invert: bool) -> np.ndarray:
-    top = np.linalg.inv(Phi) if invert else Phi
-    bot = np.linalg.inv(Psi) if invert else Psi
+def _right_transform(Phi: np.ndarray, Psi: np.ndarray, n: int, r: int) -> np.ndarray:
     m, k = Phi.shape[0], Psi.shape[0]
     T = np.zeros((m * n + k * r, m * n + k * r), dtype=complex)
-    T[: m * n, : m * n] = np.kron(top, np.eye(n))
-    T[m * n:, m * n:] = np.kron(bot, np.eye(r))
+    T[: m * n, : m * n] = np.kron(Phi, np.eye(n))
+    T[m * n:, m * n:] = np.kron(Psi, np.eye(r))
     return T
 
 
@@ -131,7 +115,8 @@ def build_L1_tilde(R: Realization, spec_A: BasisSpec, spec_D: BasisSpec,
     if spec_A.d != R.m or spec_D.d != R.k:
         raise DimensionError("basis sizes must match the polynomial degrees (m, k)")
     P = build_pencil_L1(R, v, w, W, W1, space=SPACE_L1G)
-    T = _right_transform(phi_matrix(spec_A), phi_matrix(spec_D), R.n, R.r, invert=True)
+    T = _right_transform(np.linalg.inv(phi_matrix(spec_A)), np.linalg.inv(phi_matrix(spec_D)),
+                         R.n, R.r)
     return AnsatzPencil(X=P.X @ T, Y=P.Y @ T, dims=P.dims, space=SPACE_L1G,
                         v=P.v, w=P.w, W=P.W, W1=P.W1)
 
@@ -146,8 +131,7 @@ def tilde_to_monomial(P: AnsatzPencil, spec_A: BasisSpec, spec_D: BasisSpec) -> 
     dims = P.dims
     if spec_A.d != dims.m or spec_D.d != dims.k:
         raise DimensionError("basis sizes must match the block dims (m, k)")
-    T = _right_transform(phi_matrix(spec_A), phi_matrix(spec_D), dims.n, dims.r,
-                         invert=False)
+    T = _right_transform(phi_matrix(spec_A), phi_matrix(spec_D), dims.n, dims.r)
     return AnsatzPencil(X=P.X @ T, Y=P.Y @ T, dims=dims, space=P.space,
                         v=P.v, w=P.w, W=None, W1=None)
 

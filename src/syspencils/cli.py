@@ -26,6 +26,7 @@ from .io import (
     save_json,
 )
 from .spectra import (
+    default_tol_res,
     recover_left,
     recover_right,
     solve_pencil,
@@ -152,9 +153,9 @@ def _load_pencil_and_problem(args):
 
 def cmd_verify(args) -> int:
     P, R = _load_pencil_and_problem(args)
-    tol_eig = args.tol_eig * (0.5 if args.strict else 1.0)
-    tol_res = None if args.tol is None else args.tol * (0.5 if args.strict else 1.0)
-    report = verify_linearization(P, R, tol_res=tol_res, tol_eig=tol_eig)
+    scale = 0.5 if args.strict else 1.0
+    tol_res = default_tol_res(R) if args.tol is None else args.tol
+    report = verify_linearization(P, R, tol_res=tol_res * scale, tol_eig=args.tol_eig * scale)
     _emit(report.to_dict())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -229,7 +230,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive_finite, default=None,
                    help="ansatz residual tolerance (default scale-aware)")
     p.add_argument("--tol-eig", dest="tol_eig", type=_positive_finite, default=1e-6)
-    p.add_argument("--strict", action="store_true", help="halve all tolerances")
+    p.add_argument("--strict", action="store_true", help="halve both tolerances, defaults too")
     p.add_argument("--basis", default="monomial",
                    help="basis the pencil file is expressed in")
     p.set_defaults(func=cmd_verify)

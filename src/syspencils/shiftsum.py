@@ -61,12 +61,9 @@ def block_shift_sum(X: np.ndarray, Y: np.ndarray, dims: BlockDims) -> np.ndarray
     s = dims.size
     if X.shape != (s, s) or Y.shape != (s, s):
         raise DimensionError(f"expected {s}x{s} operands for dims {dims}")
-    X11, X12, X21, X22 = _quadrants(X, dims)
-    Y11, Y12, Y21, Y22 = _quadrants(Y, dims)
-    n, r = dims.n, dims.r
-    top = np.hstack([col_shift_sum(X11, Y11, n), col_shift_sum(X12, Y12, r)])
-    bot = np.hstack([col_shift_sum(X21, Y21, n), col_shift_sum(X22, Y22, r)])
-    return np.vstack([top, bot])
+    t = dims.top
+    return np.hstack([col_shift_sum(X[:, :t], Y[:, :t], dims.n),
+                      col_shift_sum(X[:, t:], Y[:, t:], dims.r)])
 
 
 def _grid_transpose(M: np.ndarray, grid: int, blk: int) -> np.ndarray:

@@ -274,14 +274,10 @@ def build_hermitian(R: Realization) -> AnsatzPencil:
 
 def _fit_kron_rows(Z: np.ndarray, K: np.ndarray, count: int) -> np.ndarray:
     """Least-squares ansatz entries: Z approx v kron K, one v entry per block row."""
-    blk = Z.shape[0] // count
     denom = float(np.sum(np.abs(K) ** 2))
     if denom == 0.0:
         raise DegenerateFit("all reference coefficients vanish; ansatz vector unidentifiable")
-    Kc = K.conj()
-    return np.array(
-        [np.sum(Kc * Z[i * blk : (i + 1) * blk, :]) / denom for i in range(count)]
-    )
+    return Z.reshape(count, -1) @ K.conj().ravel() / denom
 
 
 def membership(X, Y, R: Realization, space: str = SPACE_L1G,
@@ -319,27 +315,18 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G,
 
     Z = block_shift_sum(X, Y, dims)
     ct = (m + 1) * n
-    Z_tl, Z_tr = Z[:t, :ct], Z[:t, ct:]
-    Z_bl, Z_br = Z[t:, :ct], Z[t:, ct:]
-
     K_A = _coeff_row(R.A)
     K_D = _coeff_row(R.D)
-    v = _fit_kron_rows(Z_tl, K_A, m)
-    w = _fit_kron_rows(Z_br, K_D, k)
+    v = _fit_kron_rows(Z[:t, :ct], K_A, m)
+    w = _fit_kron_rows(Z[t:, ct:], K_D, k)
 
-    pat_tr = np.zeros_like(Z_tr)
-    pat_tr[:, -r:] = -_kron_col(v, R.B)
-    pat_bl = np.zeros_like(Z_bl)
-    pat_bl[:, -n:] = _kron_col(w, R.C)
-
-    residual = max(
-        float(np.max(np.abs(Z_tl - _kron_col(v, K_A)))),
-        float(np.max(np.abs(Z_br - _kron_col(w, K_D)))),
-        float(np.max(np.abs(Z_tr - pat_tr))),
-        float(np.max(np.abs(Z_bl - pat_bl))),
-        float(np.max(np.abs(X[:t, t:]))),
-        float(np.max(np.abs(X[t:, :t]))),
-    )
+    pattern = np.zeros_like(Z)
+    pattern[:t, :ct] = _kron_col(v, K_A)
+    pattern[:t, -r:] = -_kron_col(v, R.B)
+    pattern[t:, ct - n:ct] = _kron_col(w, R.C)
+    pattern[t:, ct:] = _kron_col(w, K_D)
+    residual = max(float(np.max(np.abs(Z - pattern))),
+                   float(np.max(np.abs(X[:t, t:]))), float(np.max(np.abs(X[t:, :t]))))
     if residual > atol:
         raise NotAMember(
             f"shifted-sum residual {residual:.3e} exceeds tolerance {atol:.3e}"

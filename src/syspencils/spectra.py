@@ -54,6 +54,7 @@ __all__ = [
     "pencil_eigvals",
     "z_rank",
     "verify_linearization",
+    "default_tol_res",
     "lift_right",
     "recover_right",
     "lift_left",
@@ -185,21 +186,13 @@ class ZRankCertificate:
 
 
 def _unit_mapping(v: np.ndarray) -> np.ndarray:
-    """Nonsingular M with M v = e_1, built from a Householder reflector."""
-    m = v.size
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    """Nonsingular M with M v = e_1: Q* of the full QR ``v = Q (r e_1)``, row 0 over r."""
+    if np.linalg.norm(v) == 0.0:
         raise ZeroAnsatz("ansatz vector is zero")
-    if np.linalg.norm(v[1:]) <= 1e-300:
-        M = np.eye(m, dtype=complex)
-        M[0, 0] = 1.0 / v[0]
-        return M
-    phase = v[0] / abs(v[0]) if abs(v[0]) > 0 else 1.0
-    alpha = -phase * nv
-    u = v.astype(complex).copy()
-    u[0] -= alpha
-    H = np.eye(m, dtype=complex) - 2.0 * np.outer(u, u.conj()) / np.vdot(u, u)
-    return H / alpha
+    Q, r = np.linalg.qr(v[:, None], mode="complete")
+    M = Q.conj().T
+    M[0] /= r[0, 0]
+    return M
 
 
 def _z_block_rank(Ytl: np.ndarray, v: np.ndarray, blk: int, tol: float):
@@ -207,8 +200,8 @@ def _z_block_rank(Ytl: np.ndarray, v: np.ndarray, blk: int, tol: float):
     M = _unit_mapping(v)
     if deg == 1:
         return 0, True, M
-    Yhat = np.kron(M, np.eye(blk)) @ Ytl
-    Z = Yhat[blk:, : (deg - 1) * blk]
+    # (M kron I_blk) Ytl below its first block row, with M applied blockwise
+    Z = (M[1:] @ Ytl[:, : (deg - 1) * blk].reshape(deg, -1)).reshape((deg - 1) * blk, -1)
     sv = np.linalg.svd(Z, compute_uv=False)
     rank = int(np.sum(sv > tol * max(sv[0], 1e-300)))
     return rank, rank == (deg - 1) * blk, M
@@ -223,16 +216,10 @@ def z_rank(P: AnsatzPencil, R: Realization, tol: float = 1e-10) -> ZRankCertific
     members are reduced through their transposes.  Raises ZeroAnsatz when
     either ansatz vector vanishes.
     """
-    dims = P.dims
-    t = dims.top
-    if P.space == SPACE_L2G:
-        Ytl = P.Y[:t, :t].T
-        Ybr = P.Y[t:, t:].T
-    else:
-        Ytl = P.Y[:t, :t]
-        Ybr = P.Y[t:, t:]
-    rank_L, full_L, M = _z_block_rank(Ytl, P.v, dims.n, tol)
-    rank_K, full_K, N = _z_block_rank(Ybr, P.w, dims.r, tol)
+    t = P.dims.top
+    Y = P.Y.T if P.space == SPACE_L2G else P.Y
+    rank_L, full_L, M = _z_block_rank(Y[:t, :t], P.v, P.dims.n, tol)
+    rank_K, full_K, N = _z_block_rank(Y[t:, t:], P.w, P.dims.r, tol)
     return ZRankCertificate(rank_L=rank_L, full_L=full_L, rank_K=rank_K, full_K=full_K,
                             transform_M=M, transform_N=N)
 
@@ -292,6 +279,11 @@ class SpectralReport:
         }
 
 
+def default_tol_res(R: Realization) -> float:
+    """Default ansatz-residual tolerance: ``1e-10 (1 + max-norm scale of R)``."""
+    return 1e-10 * (1.0 + realization_scale(R))
+
+
 def verify_linearization(P: AnsatzPencil, R: Realization,
                          tol_res: float | None = None,
                          tol_eig: float = 1e-6,
@@ -307,7 +299,7 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     matching.  The verdict is pass exactly when (i) and (iii) hold.
     """
     if tol_res is None:
-        tol_res = 1e-10 * (1.0 + realization_scale(R))
+        tol_res = default_tol_res(R)
 
     zeros = system_zeros(R)
 
@@ -343,13 +335,9 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
             pencil_eigs=eigs.eigenvalues, ansatz_residual=res, full_z_rank=flags)
 
     pairs, worst = match_multisets(eigs.eigenvalues, zeros)
-    scaleX = np.linalg.norm(P.X)
-    scaleY = np.linalg.norm(P.Y)
-    residuals = [
-        float(np.linalg.norm((lam * P.X + P.Y) @ eigs.right[:, i])
-              / max(abs(lam) * scaleX + scaleY, 1e-300))
-        for i, lam in enumerate(eigs.eigenvalues)
-    ]
+    lam, V = eigs.eigenvalues, eigs.right
+    residuals = (np.linalg.norm(lam * (P.X @ V) + P.Y @ V, axis=0)
+                 / np.maximum(np.abs(lam) * np.linalg.norm(P.X) + np.linalg.norm(P.Y), 1e-300))
 
     ok = res <= tol_res and worst <= tol_eig
     reason = "" if ok else (
@@ -357,7 +345,7 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
         else f"eigenvalue mismatch {worst:.2e} > {tol_eig:.2e}")
     return SpectralReport(
         pencil_eigs=eigs.eigenvalues, oracle_roots=zeros, matching=pairs,
-        max_eig_error=worst, eig_residuals=residuals,
+        max_eig_error=worst, eig_residuals=residuals.tolist(),
         verdict="pass" if ok else "fail", reason=reason,
         ansatz_residual=res, full_z_rank=flags)
 
@@ -459,16 +447,20 @@ def recover_left(u: np.ndarray, dims: BlockDims, R: Realization,
     return _recover(u, dims, R, lam0, left=True)
 
 
+def _power_one_blocks(R: Realization, lifted: np.ndarray) -> np.ndarray:
+    """The blocks of a lifted vector that multiply lambda^0 in its power stacks."""
+    t = R.m * R.n
+    return np.concatenate([lifted[t - R.n:t], lifted[-R.r:]])
+
+
 def f_map(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
     """Null-space map ``x -> [A(lam0)^{-1} B x ; x]``.
 
     Sends right null vectors of G(lam0) to right null vectors of S(lam0).
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    return np.concatenate([solve_state(R, lam0, R.B @ x), x])
+    return _power_one_blocks(R, _lift(R, x, lam0, left=False)[0])
 
 
 def g_map(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
     """Null-space map ``y -> [(-C A(lam0)^{-1})* y ; y]`` for left vectors."""
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    return np.concatenate([-solve_state_left(R, lam0, y.conj() @ R.C).conj(), y])
+    return _power_one_blocks(R, _lift(R, y, lam0, left=True)[0])

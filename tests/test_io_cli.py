@@ -8,10 +8,13 @@ import pytest
 from conftest import cgauss, random_realization, random_symmetric_realization
 
 from syspencils import (
+    AnsatzPencil,
     BasisSpec,
     MatrixPolynomial,
     Realization,
     build_C1,
+    nonpole_samples,
+    residual_ansatz,
     solve_pencil,
     tilde_to_monomial,
     verify_linearization,
@@ -175,6 +178,32 @@ def test_cli_verify_strict(tmp_path, capsys):
     assert main(["verify", "--pencil", str(pen), "--input", str(prob),
                  "--strict"]) == 0
     capsys.readouterr()
+
+
+def test_cli_verify_strict_halves_the_default_residual_tolerance(tmp_path):
+    # A = lambda^2 - 2, B = C = 1, D = lambda + 0.5: data scale 2, so the
+    # default ansatz-residual tolerance is 3e-10 and --strict makes it 1.5e-10
+    R = Realization(A=MatrixPolynomial.from_scalars(-2, 0, 1), B=np.array([[1.0]]),
+                    C=np.array([[1.0]]), D=MatrixPolynomial.from_scalars(0.5, 1))
+    P = build_C1(R)
+    samples = nonpole_samples(R, 10)  # the sample points verify uses
+
+    def perturbed(delta):
+        Y = P.Y.copy()
+        Y[0, 0] += delta
+        return AnsatzPencil(X=P.X, Y=Y, dims=P.dims, space=P.space, v=P.v, w=P.w)
+
+    # the residual is linear in the perturbation; aim between the two tolerances
+    delta = 2.25e-10 / residual_ansatz(perturbed(1.0), R, samples)
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, R)
+    save_json(pen, pencil_to_dict(perturbed(delta)))
+    plain = _run_cli("verify", "--pencil", str(pen), "--input", str(prob))
+    strict = _run_cli("verify", "--pencil", str(pen), "--input", str(prob), "--strict")
+    assert plain.returncode == 0, plain.stdout + plain.stderr
+    report = json.loads(strict.stdout)
+    assert 1.5e-10 < report["ansatz_residual"] < 3e-10
+    assert strict.returncode == 1 and report["reason"].startswith("ansatz residual")
 
 
 def test_cli_solve_r2(tmp_path, capsys):

@@ -275,6 +275,34 @@ def test_membership_rejects_perturbation(r1):
         membership(P.X, Y, r1)
 
 
+# one entry in each region of the shifted-sum pattern for (m, n, k, r) =
+# (3, 1, 2, 2): the top partition ends at column t = 3, the pencil side is 7
+_PATTERN_REGIONS = {
+    "Y_top_left": ("Y", 1, 1),
+    "Y_top_right": ("Y", 0, 3),  # off the B column
+    "Y_bottom_left": ("Y", 3, 0),  # off the C column
+    "Y_bottom_right": ("Y", 4, 4),
+    "B_column": ("Y", 1, 6),  # trailing block column of the top right
+    "C_column": ("Y", 4, 2),  # trailing block column of the bottom left
+    "X_top_right": ("X", 0, 4),
+    "X_bottom_left": ("X", 4, 1),
+}
+
+
+@pytest.mark.parametrize("region", sorted(_PATTERN_REGIONS))
+def test_membership_rejects_a_perturbation_in_each_region(region):
+    rng = np.random.default_rng(21)
+    R = random_realization(rng, 3, 1, 2, 2)  # r > n and m != k
+    P = sample_space(R, seed=4, space=SPACE_L1G)
+    X, Y = P.X.copy(), P.Y.copy()
+    v, w = membership(X, Y, R)
+    assert np.allclose(v, P.v) and np.allclose(w, P.w)
+    name, i, j = _PATTERN_REGIONS[region]
+    {"X": X, "Y": Y}[name][i, j] += 1e-4
+    with pytest.raises(NotAMember):
+        membership(X, Y, R)
+
+
 def test_membership_degenerate_fit():
     # all-zero A coefficients leave the ansatz vector unidentifiable
     R = Realization(A=MatrixPolynomial((np.zeros((1, 1)), np.zeros((1, 1)))),

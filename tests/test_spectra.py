@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import cgauss, random_realization
+from conftest import cgauss, random_realization, random_symmetric_realization
 from oracles import det_roots, det_scalar_poly
 
 from syspencils import (
@@ -13,6 +13,7 @@ from syspencils import (
     build_C2,
     build_DL,
     build_pencil_L1,
+    build_symmetric,
     build_system_matrix,
     eval_polymat,
     eval_transfer,
@@ -180,6 +181,21 @@ def test_verify_report_unchanged_by_right_only_qz(monkeypatch):
                                    rtol=0, atol=1e-15)
 
 
+def test_eig_residuals_match_the_per_eigenvalue_loop():
+    rng = np.random.default_rng(13)
+    R = random_realization(rng, 3, 2, 2, 3)
+    for P in (build_C1(R), build_C2(R), sample_space(R, seed=2, space="l1g")):
+        report = verify_linearization(P, R)
+        eigs = solve_pencil(P.X, P.Y, left=False)
+        scale_x, scale_y = np.linalg.norm(P.X), np.linalg.norm(P.Y)
+        loop = [np.linalg.norm((lam * P.X + P.Y) @ eigs.right[:, i])
+                / max(abs(lam) * scale_x + scale_y, 1e-300)
+                for i, lam in enumerate(eigs.eigenvalues)]
+        assert len(report.eig_residuals) == len(loop) == R.dims.size
+        np.testing.assert_allclose(report.eig_residuals, loop, rtol=0,
+                                   atol=8 * np.finfo(float).eps)
+
+
 def test_match_multisets():
     pairs, worst = match_multisets([1.0, 2.0], [2.0 + 1e-9, 1.0])
     assert worst < 1e-8
@@ -209,6 +225,47 @@ def test_z_rank_companion(r2):
     assert cert.rank_L == 1 and cert.full_L
     assert cert.rank_K == 0 and cert.full_K  # k = 1: empty block counts as full
     assert np.allclose(cert.transform_M @ P.v, np.eye(2)[0], atol=1e-12)
+
+
+def _kron_z_rank(Ytl, M, blk):
+    """Free-block rank from the explicit ``(M kron I_blk) Ytl`` product."""
+    d = M.shape[0]
+    if d == 1:
+        return 0
+    Z = (np.kron(M, np.eye(blk)) @ Ytl)[blk:, : (d - 1) * blk]
+    sv = np.linalg.svd(Z, compute_uv=False)
+    return int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))
+
+
+def _z_rank_member(kind):
+    rng = np.random.default_rng(11)
+    R = random_realization(rng, 3, 2, 2, 3)  # r > n and m != k
+    if kind == "dl":  # v = e_m
+        return build_DL(R), R
+    if kind == "sym":  # w = -e_k
+        Rs = random_symmetric_realization(rng, 3, 2, 2, 3)
+        return build_symmetric(Rs), Rs
+    if kind == "l2g":  # reduced through the transposed diagonal parts
+        return sample_space(R, seed=3, space="l2g"), R
+    v, w = cgauss(rng, 3), cgauss(rng, 2)
+    v[0] = w[0] = 0.0
+    return build_pencil_L1(R, v, w, cgauss(rng, 6, 4), cgauss(rng, 6, 3)), R
+
+
+@pytest.mark.parametrize("kind", ["dl", "sym", "l2g", "first_entry_zero"])
+def test_z_rank_reduces_ansatz_vectors_away_from_e1(kind):
+    P, R = _z_rank_member(kind)
+    cert = z_rank(P, R)
+    assert np.allclose(cert.transform_M @ P.v, np.eye(R.m)[0], atol=1e-12)
+    assert np.allclose(cert.transform_N @ P.w, np.eye(R.k)[0], atol=1e-12)
+    t = R.dims.top
+    Ytl, Ybr = P.Y[:t, :t], P.Y[t:, t:]
+    if P.space == "l2g":
+        Ytl, Ybr = Ytl.T, Ybr.T
+    rank_L = _kron_z_rank(Ytl, cert.transform_M, R.n)
+    rank_K = _kron_z_rank(Ybr, cert.transform_N, R.r)
+    assert (cert.rank_L, cert.full_L) == (rank_L, rank_L == (R.m - 1) * R.n)
+    assert (cert.rank_K, cert.full_K) == (rank_K, rank_K == (R.k - 1) * R.r)
 
 
 def test_z_rank_zero_free_block(r2):
