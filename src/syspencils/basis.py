@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Realization, lambda_vector
+from .core import Realization, lambda_vector, numerical_rank
 from .errors import DimensionError, SingularBasis
 from .spaces import SPACE_L1G, AnsatzPencil, _transfer_residual, build_pencil_L1
 
@@ -88,8 +88,7 @@ def phi_matrix(spec: BasisSpec) -> np.ndarray:
         asc = [chebyshev.cheb2poly(np.eye(j + 1)[j]) if spec.kind == "chebyshev_T"
                else polynomial.polyfromroots(spec.nodes[:j]) for j in range(d)]
         Phi = np.array([np.pad(c[::-1], (d - 1 - j, 0)) for j, c in enumerate(asc)], dtype=complex)
-    sv = np.linalg.svd(Phi, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+    if numerical_rank(Phi, 1e-12) < d:
         raise SingularBasis("basis matrix is singular to tolerance")
     return Phi
 

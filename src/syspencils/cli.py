@@ -245,7 +245,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample pencils and report the verify pass rate")
     p.add_argument("--input", required=True)
     p.add_argument("--count", type=_non_negative_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--space", default=spaces.SPACE_L1G, choices=sorted(spaces.SPACES))
     p.add_argument("--output", default=None,
                    help="prefix for the written pencil files")

@@ -254,12 +254,19 @@ def build_system_matrix(R: Realization) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(coeffs))
 
 
+def numerical_rank(M: np.ndarray, rtol: float, floor: float = 1.0) -> int:
+    """Number of singular values of ``M`` above ``rtol * max(sigma_max, floor)``.
+
+    The one rank rule behind every singularity decision of the package."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    return int(np.count_nonzero(sv > rtol * max(sv[0], floor)))
+
+
 def _guarded_state(R: Realization, lam: complex) -> np.ndarray:
-    """``A(lambda)``, after the pole guard: raises PoleError when its smallest
-    singular value is below ``POLE_RTOL`` relative to the largest, floored at 1."""
+    """``A(lambda)``, after the pole guard: raises PoleError when it has
+    numerical rank below n at ``POLE_RTOL`` (relative, floored at 1)."""
     Alam = eval_polymat(R.A, lam)
-    sv = np.linalg.svd(Alam, compute_uv=False)
-    if sv[-1] < POLE_RTOL * max(sv[0], 1.0):
+    if numerical_rank(Alam, POLE_RTOL) < R.n:
         raise PoleError(f"A(lambda) is singular to tolerance at lambda={lam}")
     return Alam
 
@@ -305,24 +312,21 @@ def realization_scale(R: Realization) -> float:
     )
 
 
-def _structure_deviation(R: Realization, conj: bool) -> float:
+def _is_structured(R: Realization, conj: bool) -> bool:
+    """(Conjugate) symmetry of R in max norm, to ``1e-10 max(1, scale of R)``."""
     op = (lambda M: M.conj().T) if conj else (lambda M: M.T)
     dev = 0.0
     for c in R.A.coeffs + R.D.coeffs:
         dev = max(dev, float(np.max(np.abs(c - op(c)))))
     dev = max(dev, float(np.max(np.abs(op(R.C) - R.B))))
-    return dev
+    return dev <= 1e-10 * max(1.0, realization_scale(R))
 
 
-def is_symmetric_realization(R: Realization, tol: float | None = None) -> bool:
+def is_symmetric_realization(R: Realization) -> bool:
     """True when all A_i, D_i are symmetric and C^T = B, to tolerance."""
-    if tol is None:
-        tol = 1e-10 * max(1.0, realization_scale(R))
-    return _structure_deviation(R, conj=False) <= tol
+    return _is_structured(R, conj=False)
 
 
-def is_hermitian_realization(R: Realization, tol: float | None = None) -> bool:
+def is_hermitian_realization(R: Realization) -> bool:
     """True when all A_i, D_i are Hermitian and C* = B, to tolerance."""
-    if tol is None:
-        tol = 1e-10 * max(1.0, realization_scale(R))
-    return _structure_deviation(R, conj=True) <= tol
+    return _is_structured(R, conj=True)

@@ -134,10 +134,9 @@ def block_transpose(A: np.ndarray, dims: BlockDims) -> np.ndarray:
     return out
 
 
-def is_block_symmetric(A: np.ndarray, dims: BlockDims, tol: float | None = None) -> bool:
-    """True when ``A`` equals its block transpose in max norm, to tolerance."""
+def is_block_symmetric(A: np.ndarray, dims: BlockDims) -> bool:
+    """True when ``A`` equals its block transpose to ``1e-10 max(1, max|A|)`` in max norm."""
     A = np.asarray(A, dtype=complex)
-    if tol is None:
-        amax = float(np.max(np.abs(A))) if A.size else 0.0
-        tol = 1e-10 * max(1.0, amax)
+    amax = float(np.max(np.abs(A))) if A.size else 0.0
+    tol = 1e-10 * max(1.0, amax)
     return float(np.max(np.abs(A - block_transpose(A, dims)))) <= tol

@@ -71,7 +71,7 @@ SPACE_SYM = "sym"
 SPACE_HERM = "herm"
 SPACES = frozenset({SPACE_L1S, SPACE_L1G, SPACE_L2G, SPACE_DL, SPACE_SYM, SPACE_HERM})
 
-#: Default relative tolerance of the membership test.
+#: Relative tolerance of the membership test.
 MEMBERSHIP_RTOL = 1e-8
 
 
@@ -123,8 +123,8 @@ class AnsatzPencil:
             raise DimensionError(f"unknown space tag {self.space!r}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=complex).reshape(-1))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=complex).reshape(-1))
+        object.__setattr__(self, "v", _as_vector(self.v, self.dims.m, "AnsatzPencil.v"))
+        object.__setattr__(self, "w", _as_vector(self.w, self.dims.k, "AnsatzPencil.w"))
         check_finite("AnsatzPencil", X=X, Y=Y, v=self.v, w=self.w, W=self.W, W1=self.W1)
 
     def __call__(self, lam: complex) -> np.ndarray:
@@ -280,8 +280,7 @@ def _fit_kron_rows(Z: np.ndarray, K: np.ndarray, count: int) -> np.ndarray:
     return Z.reshape(count, -1) @ K.conj().ravel() / denom
 
 
-def membership(X, Y, R: Realization, space: str = SPACE_L1G,
-               tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray, np.ndarray]:
     """Test membership of ``lambda X + Y`` and recover the ansatz pair.
 
     The block column shifted sum of (X, Y) must match, to tolerance, the
@@ -289,7 +288,8 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G,
     [D_k ... D_0]`` on the bottom, and ``-v e_{k+1}^T kron B`` /
     ``+w e_{m+1}^T kron C`` off the diagonal with the same pair; X must be
     block diagonal.  The pair is fitted per block row by least squares
-    from the diagonal partitions and everything is re-checked against it.
+    from the diagonal partitions and everything is re-checked against it,
+    to ``MEMBERSHIP_RTOL`` times the scale of the pencil and the data.
 
     Second-space membership is tested on the transposed pencil against the
     sign-normalized transpose realization and returns the left pair (s, z).
@@ -299,7 +299,7 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G,
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     if space == SPACE_L2G:
-        return membership(X.T, Y.T, transpose_realization(R), SPACE_L1G, tol)
+        return membership(X.T, Y.T, transpose_realization(R), SPACE_L1G)
     if space == SPACE_L1S and R.r > R.n:
         raise DimensionError("the system-matrix ansatz identity requires r <= n")
 
@@ -308,10 +308,8 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G,
     t = dims.top
     if X.shape != (dims.size, dims.size) or Y.shape != (dims.size, dims.size):
         raise DimensionError(f"pencil side must be {dims.size} for dims {dims}")
-    if tol is None:
-        tol = MEMBERSHIP_RTOL
     scale = max(1.0, float(np.max(np.abs(X))), float(np.max(np.abs(Y))), realization_scale(R))
-    atol = tol * scale
+    atol = MEMBERSHIP_RTOL * scale
 
     Z = block_shift_sum(X, Y, dims)
     ct = (m + 1) * n

@@ -42,6 +42,11 @@ def test_newton_duplicate_nodes_rejected():
         BasisSpec(kind="newton", d=3, nodes=(1.0,))
 
 
+def test_rank_deficient_custom_basis_rejected():
+    with pytest.raises(SingularBasis):
+        phi_matrix(BasisSpec(kind="custom", d=3, rows=[[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+
+
 def _phi_values(spec, lam):
     # evaluate the basis polynomials directly, independent of phi_matrix
     if spec.kind == "monomial":

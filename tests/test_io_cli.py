@@ -23,6 +23,7 @@ from syspencils.cli import main
 from syspencils.io import (
     decode_matrix,
     encode_matrix,
+    encode_vector,
     load_pencil,
     load_problem,
     pencil_from_dict,
@@ -426,6 +427,21 @@ def test_cli_malformed_structure_is_input_error(tmp_path, case, field):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("field, length", [("v", 1), ("v", 3), ("w", 1)])
+def test_cli_wrong_ansatz_vector_length_is_input_error(tmp_path, field, length):
+    R = random_realization(np.random.default_rng(4), 2, 2, 2, 1)
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, R)
+    obj = pencil_to_dict(build_C1(R))
+    obj[field] = encode_vector(np.ones(length))
+    save_json(pen, obj)
+    for verb in ("verify", "solve"):
+        done = _run_cli(verb, "--pencil", str(pen), "--input", str(prob))
+        assert done.returncode == 2, (verb, done.stdout)
+        assert f"error: AnsatzPencil.{field}" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 def test_build_and_dim_do_not_load_scipy(tmp_path):
     prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
     _write_problem(prob, _r1())
@@ -454,6 +470,7 @@ print(json.dumps(loaded), file=sys.stderr)
     ("verify", "--tol-eig", "nan"),
     ("verify", "--tol-eig", "-1"),
     ("sample", "--count", "-3"),
+    ("sample", "--seed", "-1"),
 ])
 def test_cli_bad_numeric_flag_is_input_error(tmp_path, verb, flag, value):
     prob, pen = tmp_path / "p.json", tmp_path / "c1.json"

@@ -18,6 +18,7 @@ from syspencils import (
     DimensionError,
     MatrixPolynomial,
     NotAMember,
+    PoleError,
     Realization,
     StructureError,
     build_C1,
@@ -473,3 +474,10 @@ def test_ansatz_pencil_rejects_non_finite(name, bad):
     value.flat[-1] = bad
     with pytest.raises(ValueError, match=f"AnsatzPencil.{name} "):
         replace(P, **{name: value})
+
+
+@pytest.mark.parametrize("build", [build_C1, build_C2, build_DL])
+def test_residual_ansatz_at_an_eigenvalue_of_a_raises_pole_error(r1, build):
+    # A(lambda) = lambda - 2: the transfer identity needs A(2)^{-1}
+    with pytest.raises(PoleError):
+        residual_ansatz(build(r1), r1, [0.5, 2.0])

@@ -5,6 +5,7 @@ from oracles import det_roots, det_scalar_poly
 
 from syspencils import (
     DegenerateVector,
+    InterpolationError,
     MatrixPolynomial,
     Realization,
     SingularSystem,
@@ -22,6 +23,7 @@ from syspencils import (
     lift_left,
     lift_right,
     match_multisets,
+    nonpole_samples,
     pencil_eigvals,
     recover_left,
     recover_right,
@@ -275,6 +277,20 @@ def test_z_rank_zero_free_block(r2):
     assert cert.rank_L == 0 and not cert.full_L
 
 
+@pytest.mark.parametrize("dims", [(2, 1, 2, 1), (2, 3, 2, 2), (3, 2, 2, 3), (4, 2, 3, 1)])
+def test_z_rank_zero_free_blocks_with_random_ansatz(dims):
+    # Z = M[1:] (v kron [A_{m-1} ... A_0]) vanishes in exact arithmetic; its
+    # rounding noise must not count as rank
+    rng = np.random.default_rng(sum(dims))
+    R = random_realization(rng, *dims)
+    for _ in range(4):
+        cert = z_rank(build_pencil_L1(R, cgauss(rng, R.m), cgauss(rng, R.k)), R)
+        assert (cert.rank_L, cert.full_L, cert.rank_K, cert.full_K) == (0, False, 0, False)
+    cert = z_rank(build_C1(R), R)
+    assert cert.rank_L == (R.m - 1) * R.n and cert.full_L
+    assert cert.rank_K == (R.k - 1) * R.r and cert.full_K
+
+
 def test_z_rank_trivial_degrees(r1):
     cert = z_rank(build_C1(r1), r1)
     assert cert.full_L and cert.full_K and cert.rank_L == 0 and cert.rank_K == 0
@@ -315,6 +331,15 @@ def test_z_rank_and_verify_second_space():
     assert cert.full_K and cert.rank_K == (R.k - 1) * R.r
     assert verify_linearization(P, R).passed
     assert verify_linearization(sample_space(R, seed=5, space="l2g"), R).passed
+
+
+def test_nonpole_samples_rejects_a_singular_state_matrix():
+    # A(lambda) = [[lambda, lambda], [lambda, lambda]] is singular everywhere
+    ones = np.ones((2, 2))
+    R = Realization(A=MatrixPolynomial((0 * ones, ones)), B=ones[:, :1], C=ones[:1],
+                    D=MatrixPolynomial.from_scalars(0, 1))
+    with pytest.raises(InterpolationError):
+        nonpole_samples(R, 3)
 
 
 def test_verify_c1_r1(r1):
