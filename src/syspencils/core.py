@@ -257,36 +257,45 @@ def build_system_matrix(R: Realization) -> MatrixPolynomial:
 def numerical_rank(M: np.ndarray, rtol: float, floor: float = 1.0) -> int:
     """Number of singular values of ``M`` above ``rtol * max(sigma_max, floor)``.
 
-    The one rank rule behind every singularity decision of the package."""
+    The rank rule of the sampler, the regularity probe, the basis check and
+    the Z-rank; the pole guard reads a condition estimate (``_guarded_solve``)."""
     sv = np.linalg.svd(M, compute_uv=False)
     return int(np.count_nonzero(sv > rtol * max(sv[0], floor)))
 
 
-def _guarded_state(R: Realization, lam: complex) -> np.ndarray:
-    """``A(lambda)``, after the pole guard: raises PoleError when it has
-    numerical rank below n at ``POLE_RTOL`` (relative, floored at 1)."""
-    Alam = eval_polymat(R.A, lam)
-    if numerical_rank(Alam, POLE_RTOL) < R.n:
+def _guarded_solve(R: Realization, lam: complex, rhs: np.ndarray, transpose: bool = False):
+    """``A(lambda)^{-1} rhs`` (``A(lambda)^{-T} rhs`` with ``transpose``) from one LU
+    factorization, after the pole guard: PoleError at an exactly zero pivot or
+    when LAPACK's 1-norm reciprocal condition estimate, the norm floored at 1,
+    is at most ``POLE_RTOL``.  scipy is imported here, at the first call."""
+    from scipy.linalg import lapack
+
+    M = eval_polymat(R.A, lam)
+    M = M.T if transpose else M
+    lu, piv, info = lapack.zgetrf(M)
+    rcond = lapack.zgecon(lu, max(np.linalg.norm(M, 1), 1.0))[0] if info == 0 else 0.0
+    if not rcond > POLE_RTOL:  # a NaN estimate counts as singular
         raise PoleError(f"A(lambda) is singular to tolerance at lambda={lam}")
-    return Alam
+    return lapack.zgetrs(lu, piv, rhs)[0]
 
 
 def solve_state(R: Realization, lam: complex, rhs: np.ndarray) -> np.ndarray:
     """Solve ``A(lambda) x = rhs``; raises PoleError near a pole."""
-    return np.linalg.solve(_guarded_state(R, lam), rhs)
+    return _guarded_solve(R, lam, rhs)
 
 
 def solve_state_left(R: Realization, lam: complex, lhs: np.ndarray) -> np.ndarray:
     """Solve ``x A(lambda) = lhs`` (returns ``lhs A(lambda)^{-1}``)."""
-    return np.linalg.solve(_guarded_state(R, lam).T, lhs.T).T
+    return _guarded_solve(R, lam, lhs.T, transpose=True).T
 
 
 def eval_transfer(R: Realization, lam: complex) -> np.ndarray:
     """Evaluate ``G(lambda) = C A(lambda)^{-1} B + D(lambda)``.
 
-    A linear solve is used, never an explicit inverse.  PoleError signals
-    that lambda is numerically a pole of G (smallest singular value of
-    A(lambda) below ``POLE_RTOL`` relative to the largest, floored at 1).
+    One LU factorization of A(lambda) serves the solve, never an explicit
+    inverse.  PoleError signals that lambda is numerically a pole of G: an
+    exactly zero pivot, or a 1-norm reciprocal condition estimate of
+    A(lambda) at most ``POLE_RTOL``, with ``||A(lambda)||_1`` floored at 1.
     """
     return R.C @ solve_state(R, lam, R.B) + eval_polymat(R.D, lam)
 

@@ -14,6 +14,7 @@ from syspencils import (
     padded_identity,
     transpose_realization,
 )
+from syspencils.core import solve_state, solve_state_left
 
 
 def test_eval_polymat_constant():
@@ -92,6 +93,83 @@ def test_eval_transfer_r1(r1):
     assert abs(eval_transfer(r1, 0.0)[0, 0] + 0.5) < 1e-15
     with pytest.raises(PoleError):
         eval_transfer(r1, 2.0)
+
+
+def _at_zero(A0, seed=0):
+    """A realization with r = 2 whose A(0) is ``A0`` (A(lambda) = A0 + lambda I)."""
+    rng = np.random.default_rng(seed)
+    n = A0.shape[0]
+    return Realization(A=MatrixPolynomial((A0, np.eye(n))), B=cgauss(rng, n, 2),
+                       C=cgauss(rng, 2, n), D=MatrixPolynomial((cgauss(rng, 2, 2), np.eye(2))))
+
+
+_GUARDED = {
+    "solve_state": lambda R: solve_state(R, 0.0, R.B),
+    "solve_state_left": lambda R: solve_state_left(R, 0.0, R.C),
+    "eval_transfer": lambda R: eval_transfer(R, 0.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_GUARDED))
+def test_exactly_singular_state_is_a_pole(call):
+    from scipy.linalg import lapack
+
+    # A(0) has an exactly zero column, so LU meets an exactly zero pivot
+    A0 = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, -1.0], [0.0, 0.5, 4.0]], dtype=complex)
+    assert lapack.zgetrf(A0)[2] > 0 and lapack.zgetrf(A0.T)[2] > 0
+    with pytest.raises(PoleError):
+        _GUARDED[call](_at_zero(A0))
+
+
+def _with_singular_values(rng, sv):
+    n = len(sv)
+    U = np.linalg.qr(cgauss(rng, n, n))[0]
+    V = np.linalg.qr(cgauss(rng, n, n))[0]
+    return U @ np.diag(sv) @ V.conj().T
+
+
+@pytest.mark.parametrize("call", sorted(_GUARDED))
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_pole_guard_threshold(call, n):
+    # sigma_max = 1, so the floor at 1 plays no part
+    rng = np.random.default_rng(n)
+    for ratio, pole in ((1e-14, True), (1e-9, False)):
+        sv = np.array([ratio]) if n == 1 else np.logspace(0, np.log10(ratio), n)
+        R = _at_zero(_with_singular_values(rng, sv), seed=n)
+        if pole:
+            with pytest.raises(PoleError):
+                _GUARDED[call](R)
+        else:
+            assert np.isfinite(_GUARDED[call](R)).all()
+
+
+@pytest.mark.parametrize("call", sorted(_GUARDED))
+def test_pole_guard_norm_floor(call):
+    # ||A(0)|| is floored at 1: a tiny but perfectly conditioned A(0) is a pole
+    with pytest.raises(PoleError):
+        _GUARDED[call](_at_zero(1e-13 * np.eye(3, dtype=complex)))
+    assert np.isfinite(_GUARDED[call](_at_zero(1e-11 * np.eye(3, dtype=complex)))).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lam", [complex("inf"), complex("nan")])
+def test_non_finite_lambda_is_a_pole(r1, lam):
+    # A(lambda) is NaN there and so is LAPACK's condition estimate
+    with pytest.raises(PoleError):
+        eval_transfer(r1, lam)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 4)])
+def test_state_solves_match_dense_solves(shape):
+    rng = np.random.default_rng(5)
+    R = random_realization(rng, 2, 3, 1, 2)
+    lam = complex(cgauss(rng))
+    A = eval_polymat(R.A, lam)
+    b = cgauss(rng, *shape)
+    for got, want in ((solve_state(R, lam, b), np.linalg.solve(A, b)),
+                      (solve_state_left(R, lam, b.T), np.linalg.solve(A.T, b).T)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_transfer_is_schur_complement():

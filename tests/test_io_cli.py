@@ -445,14 +445,17 @@ def test_cli_wrong_ansatz_vector_length_is_input_error(tmp_path, field, length):
 def test_build_and_dim_do_not_load_scipy(tmp_path):
     prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
     _write_problem(prob, _r1())
+    builds = [(str(pen), []), (str(tmp_path / "dl.json"), ["--source", "dl"]),
+              (str(tmp_path / "cheb.json"), ["--source", "c1", "--basis", "chebyshev"])]
     script = f"""
 import json, sys
 loaded = []
 import syspencils
 from syspencils import cli
 loaded.append("scipy" in sys.modules)
-assert cli.main(["build", "--input", {str(prob)!r}, "--output", {str(pen)!r}]) == 0
-loaded.append("scipy" in sys.modules)
+for out, extra in {builds!r}:
+    assert cli.main(["build", "--input", {str(prob)!r}, "--output", out] + extra) == 0
+    loaded.append("scipy" in sys.modules)
 assert cli.main(["dim", "2", "3", "1", "2"]) == 0
 loaded.append("scipy" in sys.modules)
 assert cli.main(["verify", "--pencil", {str(pen)!r}, "--input", {str(prob)!r}]) == 0
@@ -461,8 +464,26 @@ print(json.dumps(loaded), file=sys.stderr)
 """
     done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    # import, build and dim leave scipy out; the QZ of verify loads it
-    assert json.loads(done.stderr.splitlines()[-1]) == [False, False, False, True]
+    # import, the three builds (C1, DL, Chebyshev C1) and dim leave scipy
+    # out; the QZ of verify loads it
+    assert json.loads(done.stderr.splitlines()[-1]) == [False] * 5 + [True]
+
+
+def test_transfer_loads_scipy_at_first_call():
+    script = """
+import json, sys
+import numpy as np
+from syspencils import MatrixPolynomial, Realization, core
+R = Realization(A=MatrixPolynomial.from_scalars(-2, 1), B=np.array([[1.0]]),
+                C=np.array([[1.0]]), D=MatrixPolynomial.from_scalars(0, 1))
+before = "scipy" in sys.modules
+G = core.eval_transfer(R, 0.0)
+print(json.dumps([before, "scipy" in sys.modules, G[0, 0].real]), file=sys.stderr)
+"""
+    done = _run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    # G(0) = 1 / (0 - 2) + 0; the guarded state solve is what loads scipy
+    assert json.loads(done.stderr.splitlines()[-1]) == [False, True, -0.5]
 
 
 @pytest.mark.parametrize("verb, flag, value", [
