@@ -3,7 +3,7 @@
 The zeros of a realization are the finite eigenvalues of the textbook
 block companion pencil of its system matrix S(lambda), a pencil built
 from S alone and independent of the ansatz space under test.  Pencil
-and reference spectra both come from one QZ solve of the pair (Y, -X),
+and reference spectra both come from one eigensolver (see solve_pencil),
 with one finiteness rule and one regularity test.  The two are compared
 as multisets by a greedy nearest-neighbour matching; agreement at
 tolerance, together with the ansatz residual, is the linearization
@@ -13,7 +13,7 @@ sufficient-condition certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,14 +69,18 @@ __all__ = [
 #: |beta| below this fraction of ||(alpha, beta)|| counts as infinite.
 INF_EIG_RTOL = 1e-10
 
+#: Regularity probe points; with two more, the eigensolver's shifts in units of ||Y||/||X||.
+PROBE_POINTS = (0.83 + 0.31j, -1.27 + 0.66j, 0.44 - 1.52j)
+SHIFT_POINTS = PROBE_POINTS + (1.61 + 1.17j, -0.52 - 1.87j)
+
 def system_zeros(R: Realization) -> np.ndarray:
     """Multiset of system zeros: the finite eigenvalues of S(lambda).
 
-    They are the finite QZ eigenvalues of the block companion pencil
+    They are the finite eigenvalues of the block companion pencil
     ``lambda X + Y`` of ``S(lambda) = sum_j lambda^j S_j`` of degree d, with
     ``X = diag(S_d, I, ..., I)``, first block row of ``Y`` equal to
     ``[S_{d-1}, ..., S_0]`` and ``-I`` on its block subdiagonal.  Pencil and
-    reference thus share one QZ call, one finiteness rule and one
+    reference thus share one eigensolver, one finiteness rule and one
     regularity test.  Raises SingularSystem when S(lambda) is singular.
     """
     S = build_system_matrix(R).coeffs
@@ -92,8 +96,7 @@ def system_zeros(R: Realization) -> np.ndarray:
 
 
 def _pencil_is_regular(X: np.ndarray, Y: np.ndarray) -> bool:
-    probe = [0.83 + 0.31j, -1.27 + 0.66j, 0.44 - 1.52j]
-    return any(numerical_rank(lam * X + Y, 1e-8, floor=1e-30) == X.shape[0] for lam in probe)
+    return any(numerical_rank(s * X + Y, 1e-8, floor=1e-30) == len(X) for s in PROBE_POINTS)
 
 
 @dataclass(frozen=True)
@@ -101,11 +104,14 @@ class PencilEigs:
     """Finite eigentriples of a pencil, unit-norm eigenvectors columnwise.
 
     A side that was not asked of :func:`solve_pencil` is None.
+    ``backward_errors`` holds ``||(lambda X + Y) u|| / (|lambda| ||X||_F + ||Y||_F)``
+    per unit right vector u, and is None when none was computed.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray | None
     left: np.ndarray | None
+    backward_errors: np.ndarray | None
 
 
 def pencil_eigvals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -116,15 +122,16 @@ def pencil_eigvals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
     """Finite eigenvalues and eigenvectors of ``lambda X + Y``.
 
-    Delegates to the QZ solver for the pair (Y, -X), so that
     ``(lambda X + Y) u = 0`` and ``y* (lambda X + Y) = 0`` hold for the
-    returned right/left vectors.  Eigenvalues with
-    ``|beta| <= INF_EIG_RTOL * ||(alpha, beta)||`` are treated as infinite
-    and dropped.  ``left=False`` or ``right=False`` skips computing that
-    side's eigenvectors, which is then None.
+    returned right/left vectors; ``left=False`` or ``right=False`` leaves
+    that side out (None).  Eigenvalues with ``|beta| <= INF_EIG_RTOL *
+    ||(alpha, beta)||`` are treated as infinite and dropped.
 
-    This is the package's one QZ call.  scipy is imported here, at the
-    first call, so that building pencils never loads it.
+    LAPACK zgeev on ``(sigma X + Y)^{-1} X`` gives the result when every
+    finite right pair has a backward error of at most ``10 N eps``; else,
+    or when no shift sigma passes the condition test, QZ on (Y, -X) does.
+    This is the package's one eigensolver; scipy is imported at the first
+    call, so that building pencils never loads it.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
@@ -133,18 +140,54 @@ def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
     import scipy.linalg
 
     try:
+        shifted = _shift_invert(X, Y, left) if X.size else None
+        if shifted is not None:
+            eigs = _finite_pairs(X, Y, *shifted)
+            if np.all(eigs.backward_errors <= 10 * X.shape[0] * np.finfo(float).eps):
+                return eigs if right else replace(eigs, right=None)
         out = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover  (scipy raises numpy's class)
         raise SolverFailure(str(exc)) from exc
     # a bare (alpha, beta) array without vectors; else left vectors come first
     ab, *vecs = out if left or right else (out,)
-    alpha, beta = ab[0], ab[1]
+    return _finite_pairs(X, Y, ab[0], ab[1], vecs[0] if left else None,
+                         vecs[-1] if right else None)
+
+
+def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool):
+    """``(alpha, beta, left, right)`` from zgeev on ``M = (sigma X + Y)^{-1} X`` at the first
+    shift with a 1-norm reciprocal condition estimate above 1e-8 (None if none, or zgeev fails).
+
+    ``M u = mu u`` and ``z* M = mu z*`` give ``lambda = (sigma mu - 1) / mu`` with
+    right vector u and left vector ``(sigma X + Y)^{-H} z``.
+    """
+    from scipy.linalg import lapack
+
+    rho = np.linalg.norm(Y) / np.linalg.norm(X) if X.any() and Y.any() else 1.0
+    for s in SHIFT_POINTS:
+        K = rho * s * X + Y
+        lu, piv, info = lapack.zgetrf(K)
+        if info == 0 and lapack.zgecon(lu, np.linalg.norm(K, 1))[0] > 1e-8:
+            break
+    else:
+        return None
+    lwork = int(lapack.zgeev_lwork(len(X), compute_vl=left)[0].real)
+    mu, z, u, info = lapack.zgeev(lapack.zgetrs(lu, piv, X)[0], compute_vl=left, lwork=lwork)
+    vl = lapack.zgetrs(lu, piv, z, trans=2)[0] if left else None
+    return None if info else (rho * s * mu - 1.0, mu, vl, u)
+
+
+def _finite_pairs(X, Y, alpha, beta, vl, vr) -> PencilEigs:
+    """Finite eigentriples from homogeneous eigenvalues and raw vectors (None if absent)."""
     finite = np.abs(beta) > INF_EIG_RTOL * np.hypot(np.abs(alpha), np.abs(beta))
-    vecs = [V[:, finite] / np.maximum(np.linalg.norm(V[:, finite], axis=0), 1e-300)
-            for V in vecs]
-    vl = vecs.pop(0) if left else None
-    vr = vecs.pop(0) if right else None
-    return PencilEigs(eigenvalues=alpha[finite] / beta[finite], right=vr, left=vl)
+    vl, vr = (None if V is None else
+              V[:, finite] / np.maximum(np.linalg.norm(V[:, finite], axis=0), 1e-300)
+              for V in (vl, vr))
+    lam = alpha[finite] / beta[finite]
+    eta = None if vr is None else (
+        np.linalg.norm(lam * (X @ vr) + Y @ vr, axis=0)
+        / np.maximum(np.abs(lam) * np.linalg.norm(X) + np.linalg.norm(Y), 1e-300))
+    return PencilEigs(eigenvalues=lam, right=vr, left=vl, backward_errors=eta)
 
 
 def match_multisets(a, b) -> tuple[list[tuple[int, int, float]], float]:
@@ -330,9 +373,6 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
             pencil_eigs=eigs.eigenvalues, ansatz_residual=res, full_z_rank=flags)
 
     pairs, worst = match_multisets(eigs.eigenvalues, zeros)
-    lam, V = eigs.eigenvalues, eigs.right
-    residuals = (np.linalg.norm(lam * (P.X @ V) + P.Y @ V, axis=0)
-                 / np.maximum(np.abs(lam) * np.linalg.norm(P.X) + np.linalg.norm(P.Y), 1e-300))
 
     ok = res <= tol_res and worst <= tol_eig
     reason = "" if ok else (
@@ -340,7 +380,7 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
         else f"eigenvalue mismatch {worst:.2e} > {tol_eig:.2e}")
     return SpectralReport(
         pencil_eigs=eigs.eigenvalues, oracle_roots=zeros, matching=pairs,
-        max_eig_error=worst, eig_residuals=residuals.tolist(),
+        max_eig_error=worst, eig_residuals=eigs.backward_errors.tolist(),
         verdict="pass" if ok else "fail", reason=reason,
         ansatz_residual=res, full_z_rank=flags)
 

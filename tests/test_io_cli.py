@@ -465,7 +465,7 @@ print(json.dumps(loaded), file=sys.stderr)
     done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
     # import, the three builds (C1, DL, Chebyshev C1) and dim leave scipy
-    # out; the QZ of verify loads it
+    # out; the eigensolve of verify loads it
     assert json.loads(done.stderr.splitlines()[-1]) == [False] * 5 + [True]
 
 

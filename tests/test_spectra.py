@@ -140,26 +140,87 @@ def test_solve_pencil_one_side(side):
         assert np.linalg.norm(res) < 1e-10 * np.linalg.norm(M)
 
 
-@pytest.mark.parametrize("n", [1, 3, 8, 40])
-@pytest.mark.parametrize("infinite", [False, True])
-def test_solve_pencil_without_vectors(n, infinite):
+def _qz_eigvals(X, Y, right=False):
+    """Finite eigenvalues of ``lambda X + Y`` from scipy's QZ of (Y, -X), the oracle."""
     import scipy.linalg
 
     from syspencils.spectra import INF_EIG_RTOL
 
+    out = scipy.linalg.eig(Y, -X, right=right, homogeneous_eigvals=True)
+    ab = out[0] if right else out
+    finite = np.abs(ab[1]) > INF_EIG_RTOL * np.hypot(np.abs(ab[0]), np.abs(ab[1]))
+    return ab[0][finite] / ab[1][finite]
+
+
+def _optimal_distance(a, b):
+    """Largest scale-aware distance under the optimal one-to-one assignment."""
+    from scipy.optimize import linear_sum_assignment
+
+    dist = np.abs(a[:, None] - b) / np.maximum(np.maximum(np.abs(a)[:, None], np.abs(b)), 1.0)
+    rows, cols = linear_sum_assignment(dist)
+    return float(dist[rows, cols].max(initial=0.0))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 40])
+@pytest.mark.parametrize("infinite", [False, True])
+def test_solve_pencil_without_vectors(n, infinite):
     rng = np.random.default_rng(n)
     X, Y = cgauss(rng, n, n), cgauss(rng, n, n)
     if infinite:
         X[:, 0] = 0.0  # an infinite eigenvalue
-    # the eigenvalue-only QZ of (Y, -X), finite-filtered, bit for bit
-    ab = scipy.linalg.eigvals(Y, -X, homogeneous_eigvals=True)
-    finite = np.abs(ab[1]) > INF_EIG_RTOL * np.hypot(np.abs(ab[0]), np.abs(ab[1]))
-    expected = ab[0][finite] / ab[1][finite]
+    expected = _qz_eigvals(X, Y)
     assert expected.size == n - infinite
     eigs = solve_pencil(X, Y, left=False, right=False)
     assert eigs.left is None and eigs.right is None
+    assert eigs.eigenvalues.size == expected.size
+    assert _optimal_distance(eigs.eigenvalues, expected) < 1e-12
+    assert np.array_equal(pencil_eigvals(X, Y).view(float), eigs.eigenvalues.view(float))
+
+
+def test_solve_pencil_falls_back_to_qz_on_a_large_backward_error():
+    import syspencils.spectra as spectra
+
+    # the sampled l2g member of (1, 2, 3, 3) data with per-matrix scales 10^U(-4, 4)
+    rng = np.random.default_rng(128)
+
+    def scaled(*shape):
+        return cgauss(rng, *shape) * 10.0 ** rng.uniform(-4, 4)
+
+    A = MatrixPolynomial(tuple(scaled(2, 2) for _ in range(2)))
+    D = MatrixPolynomial(tuple(scaled(3, 3) for _ in range(4)))
+    R = Realization(A=A, B=scaled(2, 3), C=scaled(3, 2), D=D)
+    P = sample_space(R, seed=128, space="l2g")
+    n = R.dims.size
+    shifted = spectra._finite_pairs(P.X, P.Y, *spectra._shift_invert(P.X, P.Y, False))
+    assert shifted.backward_errors.max() > 10 * n * np.finfo(float).eps
+    eigs = solve_pencil(P.X, P.Y, left=False)
+    expected = _qz_eigvals(P.X, P.Y, right=True)
     assert np.array_equal(eigs.eigenvalues.view(float), expected.view(float))
-    assert np.array_equal(pencil_eigvals(X, Y).view(float), expected.view(float))
+    assert verify_linearization(P, R).passed
+
+
+@pytest.mark.parametrize("build, side", [(build_C1, "right"), (build_C2, "left")])
+def test_solve_pencil_shift_invert_at_large_n(build, side):
+    import syspencils.spectra as spectra
+
+    R = random_realization(np.random.default_rng(70), 3, 40, 2, 10)
+    P = build(R)
+    n = R.dims.size
+    left = side == "left"
+    eigs = solve_pencil(P.X, P.Y, left=left, right=not left)
+    shifted = spectra._finite_pairs(P.X, P.Y, *spectra._shift_invert(P.X, P.Y, left))
+    assert np.array_equal(eigs.eigenvalues, shifted.eigenvalues)  # no QZ fallback
+    assert eigs.eigenvalues.size == n
+    assert eigs.backward_errors.max() <= 10 * n * np.finfo(float).eps
+    assert _optimal_distance(eigs.eigenvalues, _qz_eigvals(P.X, P.Y)) < 1e-10
+    V = getattr(eigs, side)
+    lam = eigs.eigenvalues
+    if left:
+        res = np.linalg.norm(lam[:, None] * (V.conj().T @ P.X) + V.conj().T @ P.Y, axis=1)
+    else:
+        res = np.linalg.norm(lam * (P.X @ V) + P.Y @ V, axis=0)
+    scale = np.abs(lam) * np.linalg.norm(P.X) + np.linalg.norm(P.Y)
+    assert np.max(res / scale) < 1e-12
 
 
 def test_verify_report_unchanged_by_right_only_qz(monkeypatch):
