@@ -258,29 +258,66 @@ def numerical_rank(M: np.ndarray, rtol: float, floor: float = 1.0) -> int:
     """Number of singular values of ``M`` above ``rtol * max(sigma_max, floor)``.
 
     The rank rule of the sampler, the regularity probe, the basis check and
-    the Z-rank; the pole guard reads a condition estimate (``_guarded_solve``)."""
+    the Z-rank; the pole guard and the eigensolver's shift choice read the
+    probe estimate of :func:`probe_solve` instead."""
     sv = np.linalg.svd(M, compute_uv=False)
     return int(np.count_nonzero(sv > rtol * max(sv[0], floor)))
 
 
-def _guarded_solve(R: Realization, lam: complex, rhs: np.ndarray, transpose: bool = False):
-    """``A(lambda)^{-1} rhs`` (``A(lambda)^{-T} rhs`` with ``transpose``) from one LU
-    factorization, after the pole guard: PoleError at an exactly zero pivot or
-    when LAPACK's 1-norm reciprocal condition estimate, the norm floored at 1,
-    is at most ``POLE_RTOL``.  scipy is imported here, at the first call."""
-    from scipy.linalg import lapack
+#: Stored entries of the unit-modulus probe column ``g_j = exp(i j^2)``: a chirp,
+#: not a power vector ``(z^j)``, which pencil eigenvectors are built from.
+PROBE = np.exp(1j * np.arange(1024.0) ** 2)
 
-    M = eval_polymat(R.A, lam)
-    M = M.T if transpose else M
-    lu, piv, info = lapack.zgetrf(M)
-    rcond = lapack.zgecon(lu, max(np.linalg.norm(M, 1), 1.0))[0] if info == 0 else 0.0
-    if not rcond > POLE_RTOL:  # a NaN estimate counts as singular
+
+def probe_solve(K: np.ndarray, rhs: np.ndarray, norm_floor: float = 0.0):
+    """``(K^{-1} rhs, rcond)`` from one ``np.linalg.solve(K, [rhs | g])``.
+
+    ``g`` is the probe column (``PROBE``) and ``rcond = ||g||_1 / (max(||K||_1,
+    norm_floor) ||K^{-1} g||_1)``.  Since ``||K^{-1} g||_1 / ||g||_1`` is a lower
+    bound on ``||K^{-1}||_1`` (Dixon, SINUM 20, 1983), rcond bounds the 1-norm
+    reciprocal condition number from above.  K may be a stack of matrices
+    (one rhs for all); rcond is then the smallest over the stack.  It is 0
+    when the solve overflows; numpy raises LinAlgError at an exactly zero
+    pivot.  A 1-D ``rhs`` gives 1-D solutions.
+    """
+    n, stacked = K.shape[-1], K.ndim > 2
+    g = PROBE[:n] if n <= PROBE.size else np.exp(1j * np.arange(float(n)) ** 2)
+    cols = np.concatenate([rhs[:, None] if rhs.ndim == 1 else rhs, g[:, None]], axis=1)
+    # broadcast by hand: numpy < 2 reads a 2-D b beside a 3-D K as a stack of vectors
+    x = np.linalg.solve(K, np.broadcast_to(cols, K.shape[:-1] + cols.shape[-1:]) if stacked
+                        else cols)
+    norm, probe = np.abs(K).sum(axis=-2).max(axis=-1), np.abs(x[..., -1]).sum(axis=-1)
+    denom = (np.maximum(norm, norm_floor) * probe).max() if stacked else \
+        max(float(norm), norm_floor) * float(probe)
+    rcond = n / denom if denom > 0.0 else 0.0  # denom is NaN or 0 only after an overflow
+    return (x[..., 0] if rhs.ndim == 1 else x[..., :-1]), rcond
+
+
+def _guarded_solve(R: Realization, lam, rhs: np.ndarray, transpose: bool = False):
+    """``A(lambda)^{-1} rhs`` (``A(lambda)^{-T} rhs`` with ``transpose``) from one
+    :func:`probe_solve`, after the pole guard: PoleError when numpy finds an exactly
+    zero pivot, or when the probe's reciprocal condition estimate, with ``||A||_1``
+    floored at 1, is at most ``POLE_RTOL``.  An A(lambda) that overflows is a
+    pole too, without a floating-point warning.  A 1-D array of points
+    gives the solutions stacked along a first axis, and PoleError when any
+    point is a pole."""
+    points = lam[:, None, None] if isinstance(lam, np.ndarray) and lam.ndim == 1 else lam
+    with np.errstate(all="ignore"):
+        M = eval_polymat(R.A, points)
+        try:
+            x, rcond = probe_solve(M.swapaxes(-1, -2) if transpose else M, rhs, 1.0)
+        except np.linalg.LinAlgError:
+            rcond = 0.0
+    if rcond <= POLE_RTOL:
         raise PoleError(f"A(lambda) is singular to tolerance at lambda={lam}")
-    return lapack.zgetrs(lu, piv, rhs)[0]
+    return x
 
 
-def solve_state(R: Realization, lam: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A(lambda) x = rhs``; raises PoleError near a pole."""
+def solve_state(R: Realization, lam, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A(lambda) x = rhs``; raises PoleError near a pole.
+
+    ``lam`` may be a 1-D array of points: the solutions then stack along a
+    first axis, and PoleError is raised when any point is a pole."""
     return _guarded_solve(R, lam, rhs)
 
 
@@ -292,10 +329,11 @@ def solve_state_left(R: Realization, lam: complex, lhs: np.ndarray) -> np.ndarra
 def eval_transfer(R: Realization, lam: complex) -> np.ndarray:
     """Evaluate ``G(lambda) = C A(lambda)^{-1} B + D(lambda)``.
 
-    One LU factorization of A(lambda) serves the solve, never an explicit
+    One LU solve with A(lambda) serves the solve, never an explicit
     inverse.  PoleError signals that lambda is numerically a pole of G: an
-    exactly zero pivot, or a 1-norm reciprocal condition estimate of
-    A(lambda) at most ``POLE_RTOL``, with ``||A(lambda)||_1`` floored at 1.
+    exactly zero pivot, or a probe estimate of the 1-norm reciprocal
+    condition of A(lambda) at most ``POLE_RTOL``, with ``||A(lambda)||_1``
+    floored at 1 (see :func:`probe_solve`).
     """
     return R.C @ solve_state(R, lam, R.B) + eval_polymat(R.D, lam)
 

@@ -382,17 +382,25 @@ def _residual_l1s(P: AnsatzPencil, R: Realization, lam: complex) -> float:
     return float(np.max(np.abs(P(lam) @ M - target)))
 
 
-def _transfer_residual(X, Y, R: Realization, w, lam: complex, top, bottom) -> float:
-    """``max|(lam X + Y)[top kron A^{-1}B ; bottom kron I_r] - [0 ; w kron G]|``.
+def _transfer_residual(X, Y, R: Realization, w, lams, tops, bottoms) -> float:
+    """``max|(lam X + Y)[top kron A^{-1}B ; bottom kron I_r] - [0 ; w kron G]|`` over
+    the points ``lams``.
 
-    ``top`` and ``bottom`` are the power (or basis) stacks at lam; one
-    guarded solve gives both A(lam)^{-1} B and G(lam).
+    Row i of ``tops`` and ``bottoms`` is the power (or basis) stack at
+    ``lams[i]``; one stacked guarded solve gives every A(lam)^{-1} B and
+    G(lam).  No points give 0.
     """
-    F = solve_state(R, lam, R.B)
-    G = R.C @ F + eval_polymat(R.D, lam)
-    M = np.vstack([_kron_col(top, F), _kron_col(bottom, np.eye(R.r))])
-    out = (lam * X + Y) @ M
-    out[R.m * R.n:] -= _kron_col(w, G)
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    if lams.size == 0:
+        return 0.0
+    s, r = lams.size, R.r
+    F = solve_state(R, lams, R.B)
+    G = R.C @ F + eval_polymat(R.D, lams[:, None, None])
+    M = np.concatenate([(tops[:, :, None, None] * F[:, None]).reshape(s, -1, r),
+                        (bottoms[:, :, None, None] * np.eye(r)).reshape(s, -1, r)], axis=1)
+    # lam X + Y first: lam X M and Y M apart can be huge and cancel
+    out = np.stack([(lam * X + Y) @ Mi for lam, Mi in zip(lams, M)])
+    out[:, R.m * R.n:] -= (w[:, None, None] * G[:, None]).reshape(s, -1, r)
     return float(np.max(np.abs(out)))
 
 
@@ -414,6 +422,11 @@ def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
         sides.append((P.X, P.Y, R))
     if P.space in (SPACE_L2G, SPACE_DL):
         sides.append((P.X.T, P.Y.T, transpose_realization(R)))
-    return max((_transfer_residual(X, Y, Rs, P.w, lam, lambda_vector(Rs.m, lam),
-                                   lambda_vector(Rs.k, lam))
-                for lam in lam_samples for X, Y, Rs in sides), default=0.0)
+    return max((_transfer_residual(X, Y, Rs, P.w, lam_samples,
+                                   _power_rows(Rs.m, lam_samples), _power_rows(Rs.k, lam_samples))
+                for X, Y, Rs in sides), default=0.0)
+
+
+def _power_rows(d: int, lam_samples) -> np.ndarray:
+    """The power stacks ``lambda_vector(d, lam)`` of the points as rows."""
+    return np.array([lambda_vector(d, lam) for lam in lam_samples]).reshape(-1, d)

@@ -13,6 +13,7 @@ sufficient-condition certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from .core import (
     eval_polymat,
     lambda_vector,
     numerical_rank,
+    probe_solve,
     realization_scale,
     solve_state,
     solve_state_left,
@@ -119,6 +121,12 @@ def pencil_eigvals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return solve_pencil(X, Y, left=False, right=False).eigenvalues
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a vector, the Frobenius norm of a matrix; np.linalg.norm costs
+    more than the work at pencil sizes."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
     """Finite eigenvalues and eigenvectors of ``lambda X + Y``.
 
@@ -127,24 +135,27 @@ def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
     that side out (None).  Eigenvalues with ``|beta| <= INF_EIG_RTOL *
     ||(alpha, beta)||`` are treated as infinite and dropped.
 
-    LAPACK zgeev on ``(sigma X + Y)^{-1} X`` gives the result when every
-    finite right pair has a backward error of at most ``10 N eps``; else,
-    or when no shift sigma passes the condition test, QZ on (Y, -X) does.
-    This is the package's one eigensolver; scipy is imported at the first
-    call, so that building pencils never loads it.
+    numpy's eig of ``(sigma X + Y)^{-1} X`` gives the result when every
+    finite right pair, and every left pair when asked for, has a backward
+    error of at most ``10 N eps``; else, or when no shift sigma passes the
+    condition test, QZ on (Y, -X) does.  This is the package's one
+    eigensolver; scipy is imported only for the QZ fallback.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionError("pencil coefficients must be square and of equal shape")
+    shifted = _shift_invert(X, Y, left) if X.size else None
+    if shifted is not None:
+        eigs = _finite_pairs(X, Y, *shifted)
+        bound = 10 * X.shape[0] * np.finfo(float).eps
+        if (eigs.backward_errors <= bound).all() and (
+                not left or (_backward_errors(X, Y, eigs.eigenvalues, eigs.left, True)
+                             <= bound).all()):
+            return eigs if right else replace(eigs, right=None)
     import scipy.linalg
 
     try:
-        shifted = _shift_invert(X, Y, left) if X.size else None
-        if shifted is not None:
-            eigs = _finite_pairs(X, Y, *shifted)
-            if np.all(eigs.backward_errors <= 10 * X.shape[0] * np.finfo(float).eps):
-                return eigs if right else replace(eigs, right=None)
         out = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover  (scipy raises numpy's class)
         raise SolverFailure(str(exc)) from exc
@@ -155,26 +166,41 @@ def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
 
 
 def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool):
-    """``(alpha, beta, left, right)`` from zgeev on ``M = (sigma X + Y)^{-1} X`` at the first
-    shift with a 1-norm reciprocal condition estimate above 1e-8 (None if none, or zgeev fails).
+    """``(alpha, beta, left, right)`` from numpy's eig of ``M = (sigma X + Y)^{-1} X`` at
+    the first shift whose probe reciprocal condition estimate is above 1e-8 (None if
+    none qualifies, or eig fails).
 
     ``M u = mu u`` and ``z* M = mu z*`` give ``lambda = (sigma mu - 1) / mu`` with
-    right vector u and left vector ``(sigma X + Y)^{-H} z``.
+    right vector u and left vector ``(sigma X + Y)^{-H} z``.  The ``z*`` are the
+    rows of ``U^{-1}``, so the left vectors are the columns of ``((sigma X + Y) U)^{-H}``.
     """
-    from scipy.linalg import lapack
-
-    rho = np.linalg.norm(Y) / np.linalg.norm(X) if X.any() and Y.any() else 1.0
+    norm_x, norm_y = _norm(X), _norm(Y)
+    rho = norm_y / norm_x if norm_x > 0.0 and norm_y > 0.0 else 1.0
     for s in SHIFT_POINTS:
         K = rho * s * X + Y
-        lu, piv, info = lapack.zgetrf(K)
-        if info == 0 and lapack.zgecon(lu, np.linalg.norm(K, 1))[0] > 1e-8:
+        try:
+            M, rcond = probe_solve(K, X)
+        except np.linalg.LinAlgError:
+            continue
+        if rcond > 1e-8:
             break
     else:
         return None
-    lwork = int(lapack.zgeev_lwork(len(X), compute_vl=left)[0].real)
-    mu, z, u, info = lapack.zgeev(lapack.zgetrs(lu, piv, X)[0], compute_vl=left, lwork=lwork)
-    vl = lapack.zgetrs(lu, piv, z, trans=2)[0] if left else None
-    return None if info else (rho * s * mu - 1.0, mu, vl, u)
+    try:
+        mu, u = np.linalg.eig(M)
+        vl = np.linalg.inv(K @ u).conj().T if left else None
+    except np.linalg.LinAlgError:
+        return None
+    return rho * s * mu - 1.0, mu, vl, u
+
+
+def _backward_errors(X, Y, lam, V, left: bool) -> np.ndarray:
+    """``||(lambda X + Y) u||`` (``||y* (lambda X + Y)||`` with ``left``) over
+    ``|lambda| ||X||_F + ||Y||_F``, per unit column of V."""
+    if left:
+        X, Y, lam = X.conj().T, Y.conj().T, lam.conj()
+    return (np.linalg.norm(lam * (X @ V) + Y @ V, axis=0)
+            / np.maximum(np.abs(lam) * _norm(X) + _norm(Y), 1e-300))
 
 
 def _finite_pairs(X, Y, alpha, beta, vl, vr) -> PencilEigs:
@@ -184,9 +210,7 @@ def _finite_pairs(X, Y, alpha, beta, vl, vr) -> PencilEigs:
               V[:, finite] / np.maximum(np.linalg.norm(V[:, finite], axis=0), 1e-300)
               for V in (vl, vr))
     lam = alpha[finite] / beta[finite]
-    eta = None if vr is None else (
-        np.linalg.norm(lam * (X @ vr) + Y @ vr, axis=0)
-        / np.maximum(np.abs(lam) * np.linalg.norm(X) + np.linalg.norm(Y), 1e-300))
+    eta = None if vr is None else _backward_errors(X, Y, lam, vr, False)
     return PencilEigs(eigenvalues=lam, right=vr, left=vl, backward_errors=eta)
 
 
@@ -400,7 +424,8 @@ def _lift(R: Realization, x: np.ndarray, lam0: complex, left: bool):
     else:
         F = solve_state(R, lam0, R.B)  # A(lam0)^{-1} B
         top, G = F @ x, R.C @ F + eval_polymat(R.D, lam0)
-    return np.concatenate([np.outer(powers_m, top).ravel(), np.outer(powers_k, x).ravel()]), G
+    return np.concatenate([(powers_m[:, None] * top).ravel(),
+                           (powers_k[:, None] * x).ravel()]), G
 
 
 def lift_right(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
@@ -436,14 +461,14 @@ def _recover(u: np.ndarray, dims: BlockDims, R: Realization, lam0: complex,
     u = np.asarray(u, dtype=complex).reshape(-1)
     if u.shape != (dims.size,):
         raise DimensionError(f"vector length must be {dims.size}")
-    norm_u = np.linalg.norm(u)
+    norm_u = _norm(u)
     if norm_u == 0.0:
         raise DegenerateVector("zero vector cannot be recovered from")
     k, r = dims.k, dims.r
     bottom = u[dims.top:]
     trailing = bottom[(k - 1) * r:]
     used_fallback = False
-    if np.linalg.norm(trailing) <= 1e-8 * norm_u:
+    if _norm(trailing) <= 1e-8 * norm_u:
         # trailing coefficient of the power stack is tiny; fall back to the
         # largest block, dividing out its power of lambda
         blocks = bottom.reshape(k, r)
@@ -451,15 +476,15 @@ def _recover(u: np.ndarray, dims: BlockDims, R: Realization, lam0: complex,
         power = lam0 ** (k - 1 - j)
         if left:
             power = np.conj(power)
-        if np.linalg.norm(blocks[j]) <= 1e-12 * norm_u or abs(power) < 1e-300:
+        if _norm(blocks[j]) <= 1e-12 * norm_u or abs(power) < 1e-300:
             raise DegenerateVector("no block of the bottom partition is usable")
         trailing = blocks[j] / power
         used_fallback = True
-    x = trailing / np.linalg.norm(trailing)
+    x = trailing / _norm(trailing)
     L, G = _lift(R, x, lam0, left)
-    c = np.vdot(u, L) / np.vdot(u, u)
-    residual = float(np.linalg.norm(c * u - L))
-    transfer = float(np.linalg.norm(x.conj() @ G if left else G @ x))
+    c = np.vdot(u, L) / norm_u ** 2
+    residual = _norm(c * u - L)
+    transfer = _norm(x.conj() @ G if left else G @ x)
     return RecoveredVector(x=x, structural_residual=residual, transfer_residual=transfer,
                            used_fallback=used_fallback)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from syspencils import MatrixPolynomial, Realization
+from syspencils import MatrixPolynomial, Realization, sample_space
 
 
 def cgauss(rng, *shape):
@@ -32,6 +32,21 @@ def random_hermitian_realization(rng, m, n, k, r):
     D = MatrixPolynomial(tuple(herm(cgauss(rng, r, r)) for _ in range(k + 1)))
     B = cgauss(rng, n, r)
     return Realization(A=A, B=B, C=B.conj().T.copy(), D=D)
+
+
+def badly_scaled_l2g_member():
+    """``(P, R)``: the sampled l2g member of (1, 2, 3, 3) data with per-matrix
+    scales 10^U(-4, 4), whose shift-and-invert eigenpairs fail the backward-error
+    check, so that solve_pencil falls back to QZ."""
+    rng = np.random.default_rng(128)
+
+    def scaled(*shape):
+        return cgauss(rng, *shape) * 10.0 ** rng.uniform(-4, 4)
+
+    A = MatrixPolynomial(tuple(scaled(2, 2) for _ in range(2)))
+    D = MatrixPolynomial(tuple(scaled(3, 3) for _ in range(4)))
+    R = Realization(A=A, B=scaled(2, 3), C=scaled(3, 2), D=D)
+    return sample_space(R, seed=128, space="l2g"), R
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@
 These stay deliberately separate from the package implementations they
 check: the space dimension comes from the nullity of an explicitly built
 constraint matrix, never from the closed formula under test, and the
-zeros of det P come from its scalar interpolant, never from a pencil.
+zeros of det P come from its scalar interpolant, never from a pencil;
+reference pencil eigenvalues come from scipy's QZ, never from the
+package's shift-and-invert path.
 """
 
 import numpy as np
@@ -87,3 +89,19 @@ def constraint_nullity(R: Realization) -> int:
     sv = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(sv > max(M.shape) * np.finfo(float).eps * sv[0]))
     return M.shape[1] - rank
+
+
+def qz_eigvals(X, Y, left=False, right=False) -> np.ndarray:
+    """Finite eigenvalues of ``lambda X + Y`` from scipy's QZ of (Y, -X).
+
+    The vector sides asked for are those the package's QZ fallback computes,
+    so that its eigenvalues can be compared bit for bit.
+    """
+    import scipy.linalg
+
+    from syspencils.spectra import INF_EIG_RTOL
+
+    out = scipy.linalg.eig(Y, -X, left=left, right=right, homogeneous_eigvals=True)
+    ab = out[0] if left or right else out
+    finite = np.abs(ab[1]) > INF_EIG_RTOL * np.hypot(np.abs(ab[0]), np.abs(ab[1]))
+    return ab[0][finite] / ab[1][finite]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import cgauss, random_realization
@@ -112,13 +114,43 @@ _GUARDED = {
 
 @pytest.mark.parametrize("call", sorted(_GUARDED))
 def test_exactly_singular_state_is_a_pole(call):
-    from scipy.linalg import lapack
-
     # A(0) has an exactly zero column, so LU meets an exactly zero pivot
     A0 = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, -1.0], [0.0, 0.5, 4.0]], dtype=complex)
-    assert lapack.zgetrf(A0)[2] > 0 and lapack.zgetrf(A0.T)[2] > 0
+    for M in (A0, A0.T):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(M, np.eye(3))
     with pytest.raises(PoleError):
         _GUARDED[call](_at_zero(A0))
+
+
+@pytest.mark.parametrize("call", sorted(_GUARDED))
+@pytest.mark.parametrize("lam", [1e10, -1e10, 1e10j])
+def test_overflowing_state_matrix_is_a_pole(call, lam):
+    # A(lambda) = I + 1e300 lambda I overflows to +-inf entries at |lambda| = 1e10
+    R = Realization(A=MatrixPolynomial((np.eye(2), 1e300 * np.eye(2))), B=np.ones((2, 1)),
+                    C=np.ones((1, 2)), D=MatrixPolynomial.from_scalars(0, 1))
+    guarded = {"solve_state": lambda: solve_state(R, lam, R.B),
+               "solve_state_left": lambda: solve_state_left(R, lam, R.C),
+               "eval_transfer": lambda: eval_transfer(R, lam)}[call]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError):
+            guarded()
+
+
+def test_state_solves_at_several_points():
+    rng = np.random.default_rng(6)
+    R = random_realization(rng, 1, 4, 1, 2)
+    lams = cgauss(rng, 5)
+    stacked = solve_state(R, lams, R.B)
+    assert stacked.shape == (5, 4, 2)
+    for lam, got in zip(lams, stacked):
+        want = solve_state(R, lam, R.B)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    # one pole among the points makes the whole call a pole
+    pole = np.linalg.eigvals(np.linalg.solve(-R.A.coeffs[1], R.A.coeffs[0]))
+    with pytest.raises(PoleError):
+        solve_state(R, np.append(lams, pole[0]), R.B)
 
 
 def _with_singular_values(rng, sv):

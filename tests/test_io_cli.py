@@ -5,7 +5,14 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import cgauss, random_realization, random_symmetric_realization
+from conftest import (
+    badly_scaled_l2g_member,
+    cgauss,
+    random_hermitian_realization,
+    random_realization,
+    random_symmetric_realization,
+)
+from oracles import qz_eigvals
 
 from syspencils import (
     AnsatzPencil,
@@ -464,26 +471,79 @@ print(json.dumps(loaded), file=sys.stderr)
 """
     done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    # import, the three builds (C1, DL, Chebyshev C1) and dim leave scipy
-    # out; the eigensolve of verify loads it
-    assert json.loads(done.stderr.splitlines()[-1]) == [False] * 5 + [True]
+    # import, the three builds (C1, DL, Chebyshev C1), dim and verify leave
+    # scipy out; only the eigensolver's QZ fallback loads it
+    assert json.loads(done.stderr.splitlines()[-1]) == [False] * 6
 
 
-def test_transfer_loads_scipy_at_first_call():
+def test_verify_and_solve_do_not_load_scipy(tmp_path):
+    rng = np.random.default_rng(8)
+    data = {"general": random_realization(rng, 2, 3, 2, 2),
+            "sym": random_symmetric_realization(rng, 2, 3, 2, 2),
+            "herm": random_hermitian_realization(rng, 2, 2, 2, 1)}
+    cases = [("general", "c1", "monomial"), ("general", "c2", "monomial"),
+             ("general", "dl", "monomial"), ("sym", "sym", "monomial"),
+             ("herm", "herm", "monomial"), ("general", "c1", "chebyshev")]
+    runs = []
+    for i, (kind, source, basis) in enumerate(cases):
+        prob, pen = tmp_path / f"{kind}.json", tmp_path / f"{i}.json"
+        _write_problem(prob, data[kind])
+        assert main(["build", "--input", str(prob), "--output", str(pen), "--source", source,
+                     "--basis", basis]) == 0
+        runs += [[verb, "--pencil", str(pen), "--input", str(prob), "--basis", basis]
+                 for verb in ("verify", "solve")]
+    script = f"""
+import contextlib, io, json, sys
+from syspencils import cli
+out = []
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    out.append([code, "scipy" in sys.modules])
+print(json.dumps(out), file=sys.stderr)
+"""
+    done = _run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    # C2 solves for left vectors, the others for right ones; every verify passes
+    assert json.loads(done.stderr.splitlines()[-1]) == [[0, False]] * len(runs)
+
+
+def test_transfer_does_not_load_scipy():
     script = """
 import json, sys
 import numpy as np
 from syspencils import MatrixPolynomial, Realization, core
 R = Realization(A=MatrixPolynomial.from_scalars(-2, 1), B=np.array([[1.0]]),
                 C=np.array([[1.0]]), D=MatrixPolynomial.from_scalars(0, 1))
-before = "scipy" in sys.modules
 G = core.eval_transfer(R, 0.0)
-print(json.dumps([before, "scipy" in sys.modules, G[0, 0].real]), file=sys.stderr)
+print(json.dumps(["scipy" in sys.modules, G[0, 0].real]), file=sys.stderr)
 """
     done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    # G(0) = 1 / (0 - 2) + 0; the guarded state solve is what loads scipy
-    assert json.loads(done.stderr.splitlines()[-1]) == [False, True, -0.5]
+    # G(0) = 1 / (0 - 2) + 0, from numpy's guarded state solve
+    assert json.loads(done.stderr.splitlines()[-1]) == [False, -0.5]
+
+
+def test_qz_fallback_loads_scipy(tmp_path):
+    P, _ = badly_scaled_l2g_member()
+    pen = tmp_path / "l2g.json"
+    save_json(pen, pencil_to_dict(P))
+    script = f"""
+import json, sys
+from syspencils import solve_pencil
+from syspencils.io import encode_vector, load_pencil
+P = load_pencil({str(pen)!r})
+before = "scipy" in sys.modules
+eigs = solve_pencil(P.X, P.Y, left=False)
+print(json.dumps([before, "scipy" in sys.modules, encode_vector(eigs.eigenvalues)]),
+      file=sys.stderr)
+"""
+    done = _run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    before, after, eigenvalues = json.loads(done.stderr.splitlines()[-1])
+    assert (before, after) == (False, True)
+    got = np.array([complex(re, im) for re, im in eigenvalues])
+    assert np.array_equal(got.view(float), qz_eigvals(P.X, P.Y, right=True).view(float))
 
 
 @pytest.mark.parametrize("verb, flag, value", [

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
-from conftest import cgauss, random_realization, random_symmetric_realization
-from oracles import det_roots, det_scalar_poly
+from conftest import (
+    badly_scaled_l2g_member,
+    cgauss,
+    random_realization,
+    random_symmetric_realization,
+)
+from oracles import det_roots, det_scalar_poly, qz_eigvals
 
 from syspencils import (
     DegenerateVector,
@@ -140,18 +145,6 @@ def test_solve_pencil_one_side(side):
         assert np.linalg.norm(res) < 1e-10 * np.linalg.norm(M)
 
 
-def _qz_eigvals(X, Y, right=False):
-    """Finite eigenvalues of ``lambda X + Y`` from scipy's QZ of (Y, -X), the oracle."""
-    import scipy.linalg
-
-    from syspencils.spectra import INF_EIG_RTOL
-
-    out = scipy.linalg.eig(Y, -X, right=right, homogeneous_eigvals=True)
-    ab = out[0] if right else out
-    finite = np.abs(ab[1]) > INF_EIG_RTOL * np.hypot(np.abs(ab[0]), np.abs(ab[1]))
-    return ab[0][finite] / ab[1][finite]
-
-
 def _optimal_distance(a, b):
     """Largest scale-aware distance under the optimal one-to-one assignment."""
     from scipy.optimize import linear_sum_assignment
@@ -168,7 +161,7 @@ def test_solve_pencil_without_vectors(n, infinite):
     X, Y = cgauss(rng, n, n), cgauss(rng, n, n)
     if infinite:
         X[:, 0] = 0.0  # an infinite eigenvalue
-    expected = _qz_eigvals(X, Y)
+    expected = qz_eigvals(X, Y)
     assert expected.size == n - infinite
     eigs = solve_pencil(X, Y, left=False, right=False)
     assert eigs.left is None and eigs.right is None
@@ -180,21 +173,12 @@ def test_solve_pencil_without_vectors(n, infinite):
 def test_solve_pencil_falls_back_to_qz_on_a_large_backward_error():
     import syspencils.spectra as spectra
 
-    # the sampled l2g member of (1, 2, 3, 3) data with per-matrix scales 10^U(-4, 4)
-    rng = np.random.default_rng(128)
-
-    def scaled(*shape):
-        return cgauss(rng, *shape) * 10.0 ** rng.uniform(-4, 4)
-
-    A = MatrixPolynomial(tuple(scaled(2, 2) for _ in range(2)))
-    D = MatrixPolynomial(tuple(scaled(3, 3) for _ in range(4)))
-    R = Realization(A=A, B=scaled(2, 3), C=scaled(3, 2), D=D)
-    P = sample_space(R, seed=128, space="l2g")
+    P, R = badly_scaled_l2g_member()
     n = R.dims.size
     shifted = spectra._finite_pairs(P.X, P.Y, *spectra._shift_invert(P.X, P.Y, False))
     assert shifted.backward_errors.max() > 10 * n * np.finfo(float).eps
     eigs = solve_pencil(P.X, P.Y, left=False)
-    expected = _qz_eigvals(P.X, P.Y, right=True)
+    expected = qz_eigvals(P.X, P.Y, right=True)
     assert np.array_equal(eigs.eigenvalues.view(float), expected.view(float))
     assert verify_linearization(P, R).passed
 
@@ -212,7 +196,7 @@ def test_solve_pencil_shift_invert_at_large_n(build, side):
     assert np.array_equal(eigs.eigenvalues, shifted.eigenvalues)  # no QZ fallback
     assert eigs.eigenvalues.size == n
     assert eigs.backward_errors.max() <= 10 * n * np.finfo(float).eps
-    assert _optimal_distance(eigs.eigenvalues, _qz_eigvals(P.X, P.Y)) < 1e-10
+    assert _optimal_distance(eigs.eigenvalues, qz_eigvals(P.X, P.Y)) < 1e-10
     V = getattr(eigs, side)
     lam = eigs.eigenvalues
     if left:
@@ -220,7 +204,34 @@ def test_solve_pencil_shift_invert_at_large_n(build, side):
     else:
         res = np.linalg.norm(lam * (P.X @ V) + P.Y @ V, axis=0)
     scale = np.abs(lam) * np.linalg.norm(P.X) + np.linalg.norm(P.Y)
-    assert np.max(res / scale) < 1e-12
+    assert np.max(res / scale) <= 10 * n * np.finfo(float).eps
+
+
+def test_solve_pencil_falls_back_to_qz_on_poor_left_vectors():
+    import syspencils.spectra as spectra
+
+    # lambda X + Y = X (lambda I - Q J Q^{-1}), where J has the nearly defective
+    # block [[1, 1], [1e-12, 1]]: the right eigenvector matrix has a condition
+    # number near 1e6, so left vectors from its inverse lose about six digits
+    rng = np.random.default_rng(3)
+    n = 6
+    J = np.diag(cgauss(rng, n))
+    J[:2, :2] = [[1.0, 1.0], [1e-12, 1.0]]
+    Q, X = cgauss(rng, n, n), cgauss(rng, n, n)
+    Y = -X @ Q @ J @ np.linalg.inv(Q)
+    bound = 10 * n * np.finfo(float).eps
+    shifted = spectra._finite_pairs(X, Y, *spectra._shift_invert(X, Y, True))
+    assert shifted.backward_errors.max() <= bound
+    assert spectra._backward_errors(X, Y, shifted.eigenvalues, shifted.left, True).max() > bound
+    # right vectors alone pass the check; asking for left ones sends the call to QZ
+    right = solve_pencil(X, Y, left=False)
+    assert np.array_equal(right.eigenvalues, shifted.eigenvalues)
+    eigs = solve_pencil(X, Y, right=False)
+    assert np.array_equal(eigs.eigenvalues.view(float),
+                          qz_eigvals(X, Y, left=True).view(float))
+    V, lam = eigs.left, eigs.eigenvalues
+    res = np.linalg.norm(lam[:, None] * (V.conj().T @ X) + V.conj().T @ Y, axis=1)
+    assert np.max(res / (np.abs(lam) * np.linalg.norm(X) + np.linalg.norm(Y))) < 1e-12
 
 
 def test_verify_report_unchanged_by_right_only_qz(monkeypatch):
