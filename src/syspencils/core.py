@@ -186,7 +186,7 @@ class Realization:
     ``A`` is n x n of degree m >= 1 and ``D`` is r x r of degree k >= 1;
     both degrees are structural.  Regularity is not enforced here;
     :func:`syspencils.spectra.system_zeros` raises SingularSystem when the
-    system matrix S(lambda) is singular.
+    eigensolver's regularity test finds the system matrix S(lambda) singular.
     """
 
     A: MatrixPolynomial
@@ -257,9 +257,9 @@ def build_system_matrix(R: Realization) -> MatrixPolynomial:
 def numerical_rank(M: np.ndarray, rtol: float, floor: float = 1.0) -> int:
     """Number of singular values of ``M`` above ``rtol * max(sigma_max, floor)``.
 
-    The rank rule of the sampler, the regularity probe, the basis check and
-    the Z-rank; the pole guard and the eigensolver's shift choice read the
-    probe estimate of :func:`probe_solve` instead."""
+    The rank rule of the sampler, the basis check and the Z-rank; the pole
+    guard and the eigensolver's regularity test read the probe estimate of
+    :func:`probe_solve` instead."""
     sv = np.linalg.svd(M, compute_uv=False)
     return int(np.count_nonzero(sv > rtol * max(sv[0], floor)))
 

@@ -30,7 +30,7 @@ class InterpolationError(PencilError):
 
 
 class SingularSystem(PencilError):
-    """det S(lambda) vanishes identically; the system has no zero polynomial."""
+    """A pencil, or the system matrix S(lambda), is singular: det vanishes identically."""
 
 
 class SolverFailure(PencilError):

@@ -273,11 +273,13 @@ def build_hermitian(R: Realization) -> AnsatzPencil:
 
 
 def _fit_kron_rows(Z: np.ndarray, K: np.ndarray, count: int) -> np.ndarray:
-    """Least-squares ansatz entries: Z approx v kron K, one v entry per block row."""
-    denom = float(np.sum(np.abs(K) ** 2))
-    if denom == 0.0:
+    """Least-squares ansatz entries: Z approx v kron K, one v entry per block row;
+    K is scaled to a largest modulus of 1 before it is squared."""
+    big = float(np.max(np.abs(K)))
+    if big == 0.0:
         raise DegenerateFit("all reference coefficients vanish; ansatz vector unidentifiable")
-    return Z.reshape(count, -1) @ K.conj().ravel() / denom
+    K = K.conj().ravel() / big
+    return Z.reshape(count, -1) @ K / (np.vdot(K, K).real * big)
 
 
 def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +327,7 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
     pattern[t:, ct:] = _kron_col(w, K_D)
     residual = max(float(np.max(np.abs(Z - pattern))),
                    float(np.max(np.abs(X[:t, t:]))), float(np.max(np.abs(X[t:, :t]))))
-    if residual > atol:
+    if not residual <= atol:  # NaN too
         raise NotAMember(
             f"shifted-sum residual {residual:.3e} exceeds tolerance {atol:.3e}"
         )

@@ -4,17 +4,18 @@ The zeros of a realization are the finite eigenvalues of the textbook
 block companion pencil of its system matrix S(lambda), a pencil built
 from S alone and independent of the ansatz space under test.  Pencil
 and reference spectra both come from one eigensolver (see solve_pencil),
-with one finiteness rule and one regularity test.  The two are compared
-as multisets by a greedy nearest-neighbour matching; agreement at
-tolerance, together with the ansatz residual, is the linearization
-verdict.  Full Z-rank of the reduced diagonal parts is reported as the
-sufficient-condition certificate.
+with one finiteness rule and one regularity test (its shift search).
+The two are compared as multisets by a greedy nearest-neighbour
+matching; agreement at tolerance, together with the ansatz residual, is
+the linearization verdict.  Full Z-rank of the reduced diagonal parts
+is reported as the sufficient-condition certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -71,9 +72,9 @@ __all__ = [
 #: |beta| below this fraction of ||(alpha, beta)|| counts as infinite.
 INF_EIG_RTOL = 1e-10
 
-#: Regularity probe points; with two more, the eigensolver's shifts in units of ||Y||/||X||.
-PROBE_POINTS = (0.83 + 0.31j, -1.27 + 0.66j, 0.44 - 1.52j)
-SHIFT_POINTS = PROBE_POINTS + (1.61 + 1.17j, -0.52 - 1.87j)
+#: The eigensolver's shifts: in units of ||Y||_F/||X||_F, then unscaled.
+SHIFT_POINTS = (0.83 + 0.31j, -1.27 + 0.66j, 0.44 - 1.52j, 1.61 + 1.17j, -0.52 - 1.87j)
+
 
 def system_zeros(R: Realization) -> np.ndarray:
     """Multiset of system zeros: the finite eigenvalues of S(lambda).
@@ -83,7 +84,7 @@ def system_zeros(R: Realization) -> np.ndarray:
     ``X = diag(S_d, I, ..., I)``, first block row of ``Y`` equal to
     ``[S_{d-1}, ..., S_0]`` and ``-I`` on its block subdiagonal.  Pencil and
     reference thus share one eigensolver, one finiteness rule and one
-    regularity test.  Raises SingularSystem when S(lambda) is singular.
+    regularity test: SingularSystem when its shift search finds S(lambda) singular.
     """
     S = build_system_matrix(R).coeffs
     s, d = S[0].shape[0], len(S) - 1
@@ -92,13 +93,7 @@ def system_zeros(R: Realization) -> np.ndarray:
     Y = np.zeros_like(X)
     Y[:s] = np.hstack(S[d - 1::-1])
     Y[s:, :-s] = -np.eye(s * (d - 1))
-    if not _pencil_is_regular(X, Y):
-        raise SingularSystem("S(lambda) is singular at every probe point")
     return solve_pencil(X, Y, left=False, right=False).eigenvalues
-
-
-def _pencil_is_regular(X: np.ndarray, Y: np.ndarray) -> bool:
-    return any(numerical_rank(s * X + Y, 1e-8, floor=1e-30) == len(X) for s in PROBE_POINTS)
 
 
 @dataclass(frozen=True)
@@ -122,9 +117,13 @@ def pencil_eigvals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """The 2-norm of a vector, the Frobenius norm of a matrix; np.linalg.norm costs
-    more than the work at pencil sizes."""
-    return math.sqrt(np.vdot(v, v).real)
+    """The 2-norm of a vector, the Frobenius norm of a matrix, safe from overflow and
+    underflow; np.linalg.norm costs more than the work at pencil sizes."""
+    norm = math.sqrt(np.vdot(v, v).real)
+    if norm in (0.0, math.inf) and v.any():
+        big = float(np.max(np.abs(v)))
+        norm = big * math.sqrt(np.vdot(v / big, v / big).real)
+    return norm
 
 
 def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
@@ -137,9 +136,10 @@ def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
 
     numpy's eig of ``(sigma X + Y)^{-1} X`` gives the result when every
     finite right pair, and every left pair when asked for, has a backward
-    error of at most ``10 N eps``; else, or when no shift sigma passes the
-    condition test, QZ on (Y, -X) does.  This is the package's one
-    eigensolver; scipy is imported only for the QZ fallback.
+    error of at most ``10 N eps``; else, or when eig fails, QZ on (Y, -X)
+    does.  This is the package's one eigensolver and its one regularity
+    test: SingularSystem when no shift sigma passes the condition test of
+    :func:`_shift_invert`.  scipy is imported only for the QZ fallback.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
@@ -168,7 +168,9 @@ def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
 def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool):
     """``(alpha, beta, left, right)`` from numpy's eig of ``M = (sigma X + Y)^{-1} X`` at
     the first shift whose probe reciprocal condition estimate is above 1e-8 (None if
-    none qualifies, or eig fails).
+    eig fails).  The shifts are ``SHIFT_POINTS`` times ``||Y||_F / ||X||_F``, then the
+    same unscaled, which rescues regular pencils whose blocks differ much in scale;
+    SingularSystem when none qualifies.
 
     ``M u = mu u`` and ``z* M = mu z*`` give ``lambda = (sigma mu - 1) / mu`` with
     right vector u and left vector ``(sigma X + Y)^{-H} z``.  The ``z*`` are the
@@ -176,8 +178,9 @@ def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool):
     """
     norm_x, norm_y = _norm(X), _norm(Y)
     rho = norm_y / norm_x if norm_x > 0.0 and norm_y > 0.0 else 1.0
-    for s in SHIFT_POINTS:
-        K = rho * s * X + Y
+    scales = (rho, 1.0) if rho != 1.0 else (1.0,)
+    for sigma in (c * s for c in scales for s in SHIFT_POINTS):
+        K = sigma * X + Y
         try:
             M, rcond = probe_solve(K, X)
         except np.linalg.LinAlgError:
@@ -185,13 +188,13 @@ def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool):
         if rcond > 1e-8:
             break
     else:
-        return None
+        raise SingularSystem("pencil is singular: sigma X + Y is ill conditioned at every shift")
     try:
         mu, u = np.linalg.eig(M)
         vl = np.linalg.inv(K @ u).conj().T if left else None
     except np.linalg.LinAlgError:
         return None
-    return rho * s * mu - 1.0, mu, vl, u
+    return sigma * mu - 1.0, mu, vl, u
 
 
 def _backward_errors(X, Y, lam, V, left: bool) -> np.ndarray:
@@ -292,23 +295,18 @@ def z_rank(P: AnsatzPencil, R: Realization) -> ZRankCertificate:
 def nonpole_samples(R: Realization, count: int, seed: int = 7) -> np.ndarray:
     """Deterministic sample points on an annulus, away from poles of G.
 
-    Points where A(lambda) has numerical rank below n at relative
-    tolerance 1e-3 (``sigma_min <= 1e-3 max(1, sigma_max)``) are redrawn,
-    so downstream solves stay well conditioned.
+    Point j > seed of a Kronecker sequence has radius ``0.4 + 1.2 frac(j phi)``
+    (phi the golden ratio) and angle ``2 pi frac(j sqrt 2)``.  Points where A(lambda)
+    has numerical rank below n at relative tolerance 1e-3 (``sigma_min <= 1e-3
+    max(1, sigma_max)``) are skipped, so downstream solves stay well conditioned.
     """
-    rng = np.random.default_rng(seed)
-    out = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise InterpolationError("could not find enough sample points away from poles")
-        radius = rng.uniform(0.4, 1.6)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        lam = radius * np.exp(1j * angle)
-        if numerical_rank(eval_polymat(R.A, lam), 1e-3) == R.n:
-            out.append(lam)
-    return np.array(out)
+    points = ((0.4 + 1.2 * (j * 1.618033988749895 % 1)) * np.exp(2j * np.pi * (j * 2**0.5 % 1))
+              for j in range(seed + 1, seed + 1 + 200 * count))
+    out = list(islice((lam for lam in points
+                       if numerical_rank(eval_polymat(R.A, lam), 1e-3) == R.n), count))
+    if len(out) < count:
+        raise InterpolationError("could not find enough sample points away from poles")
+    return np.array(out, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -360,9 +358,7 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     system zeros as multisets at ``tol_eig`` under the scale-aware greedy
     matching.  The verdict is pass exactly when (i) and (iii) hold.
     """
-    if tol_res is None:
-        tol_res = default_tol_res(R)
-
+    tol_res = default_tol_res(R) if tol_res is None else tol_res
     zeros = system_zeros(R)
 
     def fail(reason, pencil_eigs=None, **kw):
@@ -385,11 +381,11 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     except ZeroAnsatz:
         flags = (False, False)
 
-    if not _pencil_is_regular(P.X, P.Y):
+    try:
+        eigs = solve_pencil(P.X, P.Y, left=False)
+    except SingularSystem:
         return fail("pencil is singular (det vanishes identically)",
                     ansatz_residual=res, full_z_rank=flags)
-
-    eigs = solve_pencil(P.X, P.Y, left=False)
     if eigs.eigenvalues.size != zeros.size:
         return fail(
             f"eigenvalue count mismatch: pencil has {eigs.eigenvalues.size} finite, "

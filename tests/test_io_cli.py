@@ -499,13 +499,56 @@ out = []
 for argv in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    out.append([code, "scipy" in sys.modules])
+    out.append([code, "scipy" in sys.modules, "numpy.random" in sys.modules])
 print(json.dumps(out), file=sys.stderr)
 """
     done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    # C2 solves for left vectors, the others for right ones; every verify passes
-    assert json.loads(done.stderr.splitlines()[-1]) == [[0, False]] * len(runs)
+    # C2 solves for left vectors, the others for right ones; every verify
+    # passes, and the sample points of verify need no numpy.random either
+    assert json.loads(done.stderr.splitlines()[-1]) == [[0, False, False]] * len(runs)
+
+
+def _zero_leading_problem(tmp_path):
+    """Problem file of A = -2 + lambda + 0 lambda^2, B = C = 1, D = lambda and its
+    DL pencil file, which is singular since A_2 = 0."""
+    R = Realization(A=MatrixPolynomial.from_scalars(-2, 1, 0), B=np.array([[1.0]]),
+                    C=np.array([[1.0]]), D=MatrixPolynomial.from_scalars(0, 1))
+    prob, pen = tmp_path / "zlead.json", tmp_path / "zlead_dl.json"
+    _write_problem(prob, R)
+    assert main(["build", "--input", str(prob), "--output", str(pen), "--source", "dl"]) == 0
+    return prob, pen
+
+
+def test_cli_solve_of_a_singular_pencil_is_a_computation_error(tmp_path, capsys):
+    prob, pen = _zero_leading_problem(tmp_path)
+    assert main(["solve", "--pencil", str(pen), "--input", str(prob)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "singular" in err
+    assert main(["verify", "--pencil", str(pen), "--input", str(prob)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["reason"] == "pencil is singular (det vanishes identically)"
+
+
+def test_singular_pencil_does_not_load_scipy(tmp_path):
+    _, pen = _zero_leading_problem(tmp_path)
+    script = f"""
+import json, sys
+from syspencils import SingularSystem, pencil_eigvals, solve_pencil
+from syspencils.io import load_pencil
+P = load_pencil({str(pen)!r})
+raised = []
+for solve in (solve_pencil, pencil_eigvals):
+    try:
+        solve(P.X, P.Y)
+    except SingularSystem:
+        raised.append(solve.__name__)
+print(json.dumps([raised, "scipy" in sys.modules]), file=sys.stderr)
+"""
+    done = _run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr.splitlines()[-1]) == [["solve_pencil", "pencil_eigvals"],
+                                                        False]
 
 
 def test_transfer_does_not_load_scipy():

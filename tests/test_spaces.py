@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (
@@ -274,6 +276,28 @@ def test_membership_rejects_perturbation(r1):
     Y[0, 1] += 1.0
     with pytest.raises(NotAMember):
         membership(P.X, Y, r1)
+
+
+def test_membership_at_a_data_scale_of_1e160():
+    # the fit's sum of squares of 1e160-sized coefficients overflowed: the pair
+    # came out NaN, and a NaN residual passed any tolerance
+    rng = np.random.default_rng(3)
+    R0 = random_realization(rng, 2, 2, 2, 1)
+
+    def big(P):
+        return MatrixPolynomial(tuple(c * 1e160 for c in P.coeffs))
+
+    R = Realization(A=big(R0.A), B=R0.B * 1e160, C=R0.C * 1e160, D=big(R0.D))
+    P = build_C1(R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, w = membership(P.X, P.Y, R)
+        assert np.allclose(v, [1, 0]) and np.allclose(w, [1, 0])
+        Y = P.Y.copy()
+        Y[0, 0] += 0.5e160
+        for bad in (Y, 3 * P.Y):
+            with pytest.raises(NotAMember):
+                membership(P.X, bad, R)
 
 
 # one entry in each region of the shifted-sum pattern for (m, n, k, r) =

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (
@@ -9,6 +11,7 @@ from conftest import (
 from oracles import det_roots, det_scalar_poly, qz_eigvals
 
 from syspencils import (
+    BlockDims,
     DegenerateVector,
     InterpolationError,
     MatrixPolynomial,
@@ -104,6 +107,72 @@ def test_verify_keeps_a_huge_zero_of_a_tiny_leading_coefficient():
     for build in (build_C1, build_C2, build_DL):
         report = verify_linearization(build(R), R)
         assert report.passed, (build.__name__, report.reason)
+
+
+def test_verify_passes_a_regular_system_with_a_1e308_leading_coefficient():
+    # det S = 1e308 lambda^2 - 2 lambda + 1: every unscaled sigma X + Y has a
+    # condition number near 1e308, so a rank test there calls S singular, and
+    # ||X||_F overflows unless the norm is rescaled
+    R = Realization(A=MatrixPolynomial.from_scalars(-2, 1e308), B=np.array([[1.0]]),
+                    C=np.array([[1.0]]), D=MatrixPolynomial.from_scalars(0, 1))
+    roots = np.roots([1e308, -2, 1])  # 1e-308 +- 1e-154 i
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (build_C1, build_C2, build_DL):
+            report = verify_linearization(build(R), R)
+            assert report.passed, (build.__name__, report.reason)
+            zeros = report.oracle_roots
+            assert zeros.size == 2
+            for z in zeros:
+                assert np.min(np.abs(roots - z)) <= 1e-6 * abs(z), (build.__name__, zeros)
+            assert 0.0 < min(report.eig_residuals)
+
+
+def _scaled_realization(seed: int, e: float) -> Realization:
+    """Random data of dims in 1..3 with per-matrix scales 10^U(-e, e)."""
+    rng = np.random.default_rng(seed)
+    m, n, k, r = (int(d) for d in rng.integers(1, 4, size=4))
+
+    def scaled(*shape):
+        return cgauss(rng, *shape) * 10.0 ** rng.uniform(-e, e)
+
+    A = MatrixPolynomial(tuple(scaled(n, n) for _ in range(m + 1)))
+    D = MatrixPolynomial(tuple(scaled(r, r) for _ in range(k + 1)))
+    return Realization(A=A, B=scaled(n, r), C=scaled(r, n), D=D)
+
+
+def test_system_zeros_retry_unscaled_shifts():
+    import syspencils.spectra as spectra
+    from syspencils.core import probe_solve
+
+    # (3, 3, 1, 1) data at scales 10^U(-4, 4): no shift scaled by
+    # ||Y||_F/||X||_F passes the condition test on the block companion, and an
+    # SVD rank test at unscaled points calls it singular too
+    R = _scaled_realization(40140, 4.0)
+    assert R.dims == BlockDims(3, 3, 1, 1)
+    S = build_system_matrix(R).coeffs
+    X, Y = np.eye(12, dtype=complex), np.zeros((12, 12), dtype=complex)
+    X[:4, :4], Y[:4], Y[4:, :-4] = S[3], np.hstack(S[2::-1]), -np.eye(8)
+    rho = spectra._norm(Y) / spectra._norm(X)
+    assert all(probe_solve(rho * s * X + Y, X)[1] <= 1e-8 for s in spectra.SHIFT_POINTS)
+    zeros = system_zeros(R)
+    assert zeros.size == 10
+    assert _optimal_distance(zeros, qz_eigvals(X, Y)) < 1e-8
+    assert verify_linearization(build_C1(R), R).passed
+
+
+def test_solve_pencil_raises_on_singular_pencils():
+    # the DL pencil of data with A_m = 0 is singular (criterion 6): no eigenvalues
+    rng = np.random.default_rng(109)
+    for _ in range(5):
+        R = random_realization(rng, 2, 2, 2, 1)
+        Rz = Realization(A=MatrixPolynomial(R.A.coeffs[:2] + (np.zeros((2, 2)),)),
+                         B=R.B, C=R.C, D=R.D)
+        P = build_DL(Rz)
+        with pytest.raises(SingularSystem, match="singular"):
+            solve_pencil(P.X, P.Y, left=False)
+        with pytest.raises(SingularSystem, match="singular"):
+            pencil_eigvals(P.X, P.Y)
 
 
 def test_solve_pencil_examples(r1):
