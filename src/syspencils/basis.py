@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Realization, numerical_rank
+from .core import Realization, lambda_vector, numerical_rank
 from .errors import DimensionError, SingularBasis
-from .spaces import SPACE_L1G, AnsatzPencil, _power_rows, _transfer_residual, build_pencil_L1
+from .spaces import SPACE_L1G, AnsatzPencil, _transfer_residual, build_pencil_L1
 
 __all__ = [
     "BasisSpec",
@@ -144,6 +144,6 @@ def residual_tilde(P: AnsatzPencil, R: Realization, spec_A: BasisSpec,
     """
     Phi = phi_matrix(spec_A)
     Psi = phi_matrix(spec_D)
-    return _transfer_residual(P.X, P.Y, R, P.w, lam_samples,
-                              _power_rows(R.m, lam_samples) @ Phi.T,
-                              _power_rows(R.k, lam_samples) @ Psi.T)
+    lams = np.asarray(lam_samples, dtype=complex).reshape(-1)
+    return _transfer_residual(P.X, P.Y, R, P.w, lams, lambda_vector(R.m, lams) @ Phi.T,
+                              lambda_vector(R.k, lams) @ Psi.T)

@@ -118,7 +118,7 @@ class MatrixPolynomial:
         return MatrixPolynomial(tuple(c.T for c in self.coeffs))
 
     def max_norm(self) -> float:
-        return max(float(np.max(np.abs(c))) for c in self.coeffs)
+        return float(np.abs(np.concatenate([c.ravel() for c in self.coeffs])).max())
 
 
 def eval_polymat(P: MatrixPolynomial, lam: complex) -> np.ndarray:
@@ -129,15 +129,16 @@ def eval_polymat(P: MatrixPolynomial, lam: complex) -> np.ndarray:
     return acc
 
 
-def lambda_vector(d: int, lam: complex) -> np.ndarray:
+def lambda_vector(d: int, lam) -> np.ndarray:
     """Column ``[lambda^{d-1}, ..., lambda, 1]`` of descending powers.
 
     The trailing entry is always 1; this ordering matches every ansatz
-    identity in the package.
+    identity in the package.  An array of points gives one power stack per
+    point along a new last axis, each bitwise equal to the scalar call's.
     """
     if d < 1:
         raise DimensionError("lambda_vector needs d >= 1")
-    return np.array([lam ** p for p in range(d - 1, -1, -1)], dtype=complex)
+    return np.asarray(lam, dtype=complex)[..., None] ** np.arange(d - 1, -1, -1)
 
 
 def padded_identity(r: int, n: int) -> np.ndarray:
@@ -254,14 +255,16 @@ def build_system_matrix(R: Realization) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(coeffs))
 
 
-def numerical_rank(M: np.ndarray, rtol: float, floor: float = 1.0) -> int:
+def numerical_rank(M: np.ndarray, rtol: float, floor: float = 1.0):
     """Number of singular values of ``M`` above ``rtol * max(sigma_max, floor)``.
 
-    The rank rule of the sampler, the basis check and the Z-rank; the pole
-    guard and the eigensolver's regularity test read the probe estimate of
-    :func:`probe_solve` instead."""
+    A stack of matrices gives one rank per matrix (an integer array) from one
+    SVD call.  The rank rule of the sampler, the basis check and the Z-rank;
+    the pole guard and the eigensolver's regularity test read the probe
+    estimate of :func:`probe_solve` instead."""
     sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(sv > rtol * max(sv[0], floor)))
+    ranks = (sv > rtol * np.maximum(sv[..., :1], floor)).sum(axis=-1)
+    return ranks if M.ndim > 2 else int(ranks)
 
 
 #: Stored entries of the unit-modulus probe column ``g_j = exp(i j^2)``: a chirp,
@@ -351,12 +354,8 @@ def transpose_realization(R: Realization) -> Realization:
 
 def realization_scale(R: Realization) -> float:
     """Max-norm scale of the realization data (used by tolerance defaults)."""
-    return max(
-        R.A.max_norm(),
-        R.D.max_norm(),
-        float(np.max(np.abs(R.B))) if R.B.size else 0.0,
-        float(np.max(np.abs(R.C))) if R.C.size else 0.0,
-    )
+    data = R.A.coeffs + R.D.coeffs + (R.B, R.C)
+    return float(np.abs(np.concatenate([c.ravel() for c in data])).max())
 
 
 def _is_structured(R: Realization, conj: bool) -> bool:

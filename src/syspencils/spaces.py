@@ -137,8 +137,9 @@ def _coeff_row(P) -> np.ndarray:
 
 
 def _kron_col(v: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """``v kron K`` for a vector v: the blocks v_i K stacked vertically."""
-    return (v[:, None, None] * K).reshape(-1, K.shape[1])
+    """``v kron K``, the blocks v_i K stacked; a 2-D v or a 3-D K is a stack of points."""
+    out = v[..., None, None] * (K[:, None] if K.ndim > 2 else K)
+    return out.reshape(out.shape[:-3] + (-1, K.shape[-1]))
 
 
 def _l1_parts(R: Realization, v, w, W, W1):
@@ -374,14 +375,25 @@ def sample_space(R: Realization, seed: int, space: str = SPACE_L1G) -> AnsatzPen
                         v=alpha * P.v, w=alpha * P.w, W=alpha * P.W, W1=alpha * P.W1)
 
 
-def _residual_l1s(P: AnsatzPencil, R: Realization, lam: complex) -> float:
-    m, n, k, r = R.m, R.n, R.k, R.r
-    Irn = padded_identity(r, n)
-    M = np.vstack([_kron_col(lambda_vector(m, lam), np.eye(n)),
-                   _kron_col(lambda_vector(k, lam), Irn)])
-    target = np.vstack([_kron_col(P.v, eval_polymat(R.A, lam) - R.B @ Irn),
-                        _kron_col(P.w, R.C + eval_polymat(R.D, lam) @ Irn)])
-    return float(np.max(np.abs(P(lam) @ M - target)))
+def _max_deviation(X, Y, lams, M, target) -> float:
+    """``max|(lam X + Y) M_i - target_i|`` over the points, target_i standing for the
+    trailing rows (zero above); lam X + Y comes first, as lam X M_i and Y M_i can cancel."""
+    out = np.stack([(lam * X + Y) @ Mi for lam, Mi in zip(lams, M)])
+    out[:, -target.shape[1]:] -= target
+    return float(np.abs(out).max())
+
+
+def _residual_l1s(P: AnsatzPencil, R: Realization, lams: np.ndarray) -> float:
+    """``max|(lam X + Y)[Lambda_m kron I_n ; Lambda_k kron I_rn] - [v kron (A - B I_rn) ;
+    w kron (C + D I_rn)]|`` over the points ``lams`` (0 for none)."""
+    if lams.size == 0:
+        return 0.0
+    Irn, at = padded_identity(R.r, R.n), lams[:, None, None]
+    M = np.concatenate([_kron_col(lambda_vector(R.m, lams), np.eye(R.n)),
+                        _kron_col(lambda_vector(R.k, lams), Irn)], axis=1)
+    target = np.concatenate([_kron_col(P.v, eval_polymat(R.A, at) - R.B @ Irn),
+                             _kron_col(P.w, R.C + eval_polymat(R.D, at) @ Irn)], axis=1)
+    return _max_deviation(P.X, P.Y, lams, M, target)
 
 
 def _transfer_residual(X, Y, R: Realization, w, lams, tops, bottoms) -> float:
@@ -392,18 +404,12 @@ def _transfer_residual(X, Y, R: Realization, w, lams, tops, bottoms) -> float:
     ``lams[i]``; one stacked guarded solve gives every A(lam)^{-1} B and
     G(lam).  No points give 0.
     """
-    lams = np.asarray(lams, dtype=complex).reshape(-1)
     if lams.size == 0:
         return 0.0
-    s, r = lams.size, R.r
     F = solve_state(R, lams, R.B)
     G = R.C @ F + eval_polymat(R.D, lams[:, None, None])
-    M = np.concatenate([(tops[:, :, None, None] * F[:, None]).reshape(s, -1, r),
-                        (bottoms[:, :, None, None] * np.eye(r)).reshape(s, -1, r)], axis=1)
-    # lam X + Y first: lam X M and Y M apart can be huge and cancel
-    out = np.stack([(lam * X + Y) @ Mi for lam, Mi in zip(lams, M)])
-    out[:, R.m * R.n:] -= (w[:, None, None] * G[:, None]).reshape(s, -1, r)
-    return float(np.max(np.abs(out)))
+    M = np.concatenate([_kron_col(tops, F), _kron_col(bottoms, np.eye(R.r))], axis=1)
+    return _max_deviation(X, Y, lams, M, _kron_col(w, G))
 
 
 def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
@@ -417,18 +423,13 @@ def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
     of :func:`transpose_realization`; the double-ansatz tag checks both
     identities.  Pole errors from sample points propagate to the caller.
     """
+    lams = np.asarray(lam_samples, dtype=complex).reshape(-1)
     if P.space == SPACE_L1S:
-        return max((_residual_l1s(P, R, lam) for lam in lam_samples), default=0.0)
+        return _residual_l1s(P, R, lams)
     sides = []
     if P.space != SPACE_L2G:
         sides.append((P.X, P.Y, R))
     if P.space in (SPACE_L2G, SPACE_DL):
         sides.append((P.X.T, P.Y.T, transpose_realization(R)))
-    return max((_transfer_residual(X, Y, Rs, P.w, lam_samples,
-                                   _power_rows(Rs.m, lam_samples), _power_rows(Rs.k, lam_samples))
-                for X, Y, Rs in sides), default=0.0)
-
-
-def _power_rows(d: int, lam_samples) -> np.ndarray:
-    """The power stacks ``lambda_vector(d, lam)`` of the points as rows."""
-    return np.array([lambda_vector(d, lam) for lam in lam_samples]).reshape(-1, d)
+    return max((_transfer_residual(X, Y, Rs, P.w, lams, lambda_vector(Rs.m, lams),
+                                   lambda_vector(Rs.k, lams)) for X, Y, Rs in sides), default=0.0)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -119,8 +118,8 @@ def pencil_eigvals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a vector, the Frobenius norm of a matrix, safe from overflow and
     underflow; np.linalg.norm costs more than the work at pencil sizes."""
-    norm = math.sqrt(np.vdot(v, v).real)
-    if norm in (0.0, math.inf) and v.any():
+    norm = math.sqrt(np.vdot(v, v).real)  # NaN when complex products overflow
+    if not 0.0 < norm < math.inf and v.any():
         big = float(np.max(np.abs(v)))
         norm = big * math.sqrt(np.vdot(v / big, v / big).real)
     return norm
@@ -252,12 +251,17 @@ class ZRankCertificate:
 
 
 def _unit_mapping(v: np.ndarray) -> np.ndarray:
-    """Nonsingular M with M v = e_1: Q* of the full QR ``v = Q (r e_1)``, row 0 over r."""
-    if np.linalg.norm(v) == 0.0:
+    """Nonsingular M with M v = e_1: the Householder reflector ``I - 2 u u* / u* u`` with
+    ``u = v + a ||v|| e_1`` and ``a = e^{i arg v_0}`` (1 if v_0 = 0) sends v to
+    ``-a ||v|| e_1``, and row 0 is divided by ``-a ||v||``; u is nonzero when v is."""
+    norm = _norm(v)
+    if norm == 0.0:
         raise ZeroAnsatz("ansatz vector is zero")
-    Q, r = np.linalg.qr(v[:, None], mode="complete")
-    M = Q.conj().T
-    M[0] /= r[0, 0]
+    a = v[0] / abs(v[0]) if v[0] else 1.0
+    u = v + np.eye(v.size)[0] * (a * norm)
+    u /= _norm(u)
+    M = np.eye(v.size, dtype=complex) - 2.0 * np.outer(u, u.conj())
+    M[0] /= -a * norm
     return M
 
 
@@ -298,15 +302,19 @@ def nonpole_samples(R: Realization, count: int, seed: int = 7) -> np.ndarray:
     Point j > seed of a Kronecker sequence has radius ``0.4 + 1.2 frac(j phi)``
     (phi the golden ratio) and angle ``2 pi frac(j sqrt 2)``.  Points where A(lambda)
     has numerical rank below n at relative tolerance 1e-3 (``sigma_min <= 1e-3
-    max(1, sigma_max)``) are skipped, so downstream solves stay well conditioned.
+    max(f, sigma_max)`` with the floor ``f = min(1, max_j |A_j|)``, so data of small
+    scale are judged by their own scale) are skipped, so downstream solves stay well
+    conditioned.  The candidates are drawn and rank-tested ``count`` at a time, with
+    one stacked SVD per chunk, up to ``200 count`` in all.
     """
-    points = ((0.4 + 1.2 * (j * 1.618033988749895 % 1)) * np.exp(2j * np.pi * (j * 2**0.5 % 1))
-              for j in range(seed + 1, seed + 1 + 200 * count))
-    out = list(islice((lam for lam in points
-                       if numerical_rank(eval_polymat(R.A, lam), 1e-3) == R.n), count))
-    if len(out) < count:
-        raise InterpolationError("could not find enough sample points away from poles")
-    return np.array(out, dtype=complex)
+    floor, out, step = min(1.0, R.A.max_norm()), [], max(count, 1)
+    for start in range(seed + 1, seed + 1 + 200 * step, step):
+        j = np.arange(start, start + count, dtype=float)
+        lam = (0.4 + 1.2 * (j * 1.618033988749895 % 1)) * np.exp(2j * np.pi * (j * 2**0.5 % 1))
+        out.extend(lam[numerical_rank(eval_polymat(R.A, lam[:, None, None]), 1e-3, floor) == R.n])
+        if len(out) >= count:
+            return np.array(out[:count], dtype=complex)
+    raise InterpolationError("could not find enough sample points away from poles")
 
 
 @dataclass(frozen=True)
@@ -406,22 +414,23 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
 
 
 def _lift(R: Realization, x: np.ndarray, lam0: complex, left: bool):
-    """The lifted pencil eigenvector of ``x`` and G(lam0), from one guarded solve.
+    """The lifted pencil eigenvector of ``x`` and ``G(lam0) x`` (``x* G(lam0)`` on
+    the left), from one guarded solve with one right-hand side.
 
     Right: ``[Lambda_{m-1} kron A(lam0)^{-1} B x ; Lambda_{k-1} kron x]``;
     left: ``[conj(Lambda) kron (-C A(lam0)^{-1})* x ; conj(Lambda) kron x]``.
     """
     x = np.asarray(x, dtype=complex).reshape(-1)
-    powers_m, powers_k = lambda_vector(R.m, lam0), lambda_vector(R.k, lam0)
+    powers = lambda_vector(max(R.m, R.k), lam0)  # its last m and last k entries
     if left:
-        W = solve_state_left(R, lam0, R.C)  # C A(lam0)^{-1}
-        top, G = -W.conj().T @ x, W @ R.B + eval_polymat(R.D, lam0)
-        powers_m, powers_k = powers_m.conj(), powers_k.conj()
+        z = solve_state_left(R, lam0, x.conj() @ R.C)  # x* C A(lam0)^{-1}
+        top, Gx = -z.conj(), z @ R.B + x.conj() @ eval_polymat(R.D, lam0)
+        powers = powers.conj()
     else:
-        F = solve_state(R, lam0, R.B)  # A(lam0)^{-1} B
-        top, G = F @ x, R.C @ F + eval_polymat(R.D, lam0)
-    return np.concatenate([(powers_m[:, None] * top).ravel(),
-                           (powers_k[:, None] * x).ravel()]), G
+        top = solve_state(R, lam0, R.B @ x)  # A(lam0)^{-1} B x
+        Gx = R.C @ top + eval_polymat(R.D, lam0) @ x
+    return np.concatenate([(powers[-R.m:, None] * top).ravel(),
+                           (powers[-R.k:, None] * x).ravel()]), Gx
 
 
 def lift_right(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
@@ -443,7 +452,7 @@ class RecoveredVector:
 
     ``transfer_residual`` is ``||G(lam0) x||`` for a right vector and
     ``||x* G(lam0)||`` for a left one; the solve with A(lam0) that lifts
-    ``x`` also gives G(lam0).
+    ``x`` also gives that product.
     """
 
     x: np.ndarray
@@ -477,10 +486,10 @@ def _recover(u: np.ndarray, dims: BlockDims, R: Realization, lam0: complex,
         trailing = blocks[j] / power
         used_fallback = True
     x = trailing / _norm(trailing)
-    L, G = _lift(R, x, lam0, left)
+    L, Gx = _lift(R, x, lam0, left)
     c = np.vdot(u, L) / norm_u ** 2
     residual = _norm(c * u - L)
-    transfer = _norm(x.conj() @ G if left else G @ x)
+    transfer = _norm(Gx)
     return RecoveredVector(x=x, structural_residual=residual, transfer_residual=transfer,
                            used_fallback=used_fallback)
 

@@ -5,12 +5,13 @@ check: the space dimension comes from the nullity of an explicitly built
 constraint matrix, never from the closed formula under test, and the
 zeros of det P come from its scalar interpolant, never from a pencil;
 reference pencil eigenvalues come from scipy's QZ, never from the
-package's shift-and-invert path.
+package's shift-and-invert path.  The per-point loops below are the
+references of the stacked sampler and l1s residual.
 """
 
 import numpy as np
 
-from syspencils import Realization, block_shift_sum, eval_polymat
+from syspencils import InterpolationError, Realization, block_shift_sum, eval_polymat
 
 
 def det_scalar_poly(P) -> np.ndarray:
@@ -105,3 +106,39 @@ def qz_eigvals(X, Y, left=False, right=False) -> np.ndarray:
     ab = out[0] if left or right else out
     finite = np.abs(ab[1]) > INF_EIG_RTOL * np.hypot(np.abs(ab[0]), np.abs(ab[1]))
     return ab[0][finite] / ab[1][finite]
+
+
+def nonpole_samples_per_point(R: Realization, count: int, seed: int = 7) -> np.ndarray:
+    """The sampler's points from a generator, one SVD of A(lambda) per candidate.
+
+    Candidate j = seed + 1, seed + 2, ... is kept when every singular value is
+    above ``1e-3 max(sigma_max, min(1, max_j |A_j|))``, up to 200 count candidates.
+    """
+    from itertools import islice
+
+    floor = min(1.0, max(float(np.max(np.abs(c))) for c in R.A.coeffs))
+
+    def full_rank(lam):
+        sv = np.linalg.svd(eval_polymat(R.A, lam), compute_uv=False)
+        return np.count_nonzero(sv > 1e-3 * max(sv[0], floor)) == R.n
+
+    points = ((0.4 + 1.2 * (j * 1.618033988749895 % 1)) * np.exp(2j * np.pi * (j * 2**0.5 % 1))
+              for j in range(seed + 1, seed + 1 + 200 * count))
+    out = list(islice((lam for lam in points if full_rank(lam)), count))
+    if len(out) < count:
+        raise InterpolationError("could not find enough sample points away from poles")
+    return np.array(out, dtype=complex)
+
+
+def residual_l1s_per_point(P, R: Realization, lams) -> float:
+    """The system-matrix ansatz residual with one lift and one target per point."""
+    m, n, k, r = R.m, R.n, R.k, R.r
+    Irn = np.eye(r, n)
+    worst = 0.0
+    for lam in lams:
+        M = np.vstack([np.kron(lam ** np.arange(m - 1, -1, -1.0)[:, None], np.eye(n)),
+                       np.kron(lam ** np.arange(k - 1, -1, -1.0)[:, None], Irn)])
+        target = np.vstack([np.kron(P.v[:, None], eval_polymat(R.A, lam) - R.B @ Irn),
+                            np.kron(P.w[:, None], R.C + eval_polymat(R.D, lam) @ Irn)])
+        worst = max(worst, float(np.max(np.abs(P(lam) @ M - target))))
+    return worst

@@ -8,7 +8,7 @@ from conftest import (
     random_realization,
     random_symmetric_realization,
 )
-from oracles import constraint_nullity, det_scalar_poly
+from oracles import constraint_nullity, det_scalar_poly, residual_l1s_per_point
 
 from syspencils import (
     SPACE_DL,
@@ -432,6 +432,26 @@ def test_residual_ansatz_l1s(r1):
     zero = type(P)(X=np.zeros((2, 2)), Y=np.zeros((2, 2)), dims=P.dims,
                    space=SPACE_L1S, v=np.zeros(1), w=np.zeros(1))
     assert residual_ansatz(zero, r1, [0.0, 1.0, 3.0]) == 0.0
+
+
+def test_residual_l1s_equals_the_per_point_loop():
+    # the stacked lifts and targets round like the per-point ones, up to the
+    # order of the rounding in each product
+    from syspencils.core import realization_scale
+
+    rng = np.random.default_rng(34)
+    for dims in ((1, 1, 1, 1), (2, 3, 2, 2), (3, 2, 1, 2), (2, 4, 3, 1)):
+        R = random_realization(rng, *dims)
+        P, _, _ = _random_member(rng, R, SPACE_L1S)
+        bad = type(P)(X=P.X, Y=P.Y + 1e-6 * cgauss(rng, *P.Y.shape), dims=P.dims,
+                      space=SPACE_L1S, v=P.v, w=P.w)
+        lams = np.concatenate([nonpole_samples(R, 10, seed=35), [0.0, 1.5j]])
+        tol = 1e-14 * (1.0 + realization_scale(R))
+        for Q in (P, bad):
+            for points in (lams, lams[:1]):
+                expected = residual_l1s_per_point(Q, R, points)
+                assert abs(residual_ansatz(Q, R, points) - expected) <= tol
+    assert residual_ansatz(P, R, []) == 0.0
 
 
 def test_l1s_matrix_case_identity():

@@ -8,7 +8,7 @@ from conftest import (
     random_realization,
     random_symmetric_realization,
 )
-from oracles import det_roots, det_scalar_poly, qz_eigvals
+from oracles import det_roots, det_scalar_poly, nonpole_samples_per_point, qz_eigvals
 
 from syspencils import (
     BlockDims,
@@ -479,8 +479,67 @@ def test_nonpole_samples_rejects_a_singular_state_matrix():
     ones = np.ones((2, 2))
     R = Realization(A=MatrixPolynomial((0 * ones, ones)), B=ones[:, :1], C=ones[:1],
                     D=MatrixPolynomial.from_scalars(0, 1))
-    with pytest.raises(InterpolationError):
-        nonpole_samples(R, 3)
+    for sampler in (nonpole_samples, nonpole_samples_per_point):
+        with pytest.raises(InterpolationError):
+            sampler(R, 3)
+
+
+def _kronecker_point(j: int) -> complex:
+    return (0.4 + 1.2 * (j * 1.618033988749895 % 1)) * np.exp(2j * np.pi * (j * 2**0.5 % 1))
+
+
+def test_nonpole_samples_equal_the_per_point_generator():
+    rng = np.random.default_rng(21)
+    # A(lambda) = (lambda - p8)(lambda - p10) vanishes at candidates 8 and 10
+    # of seed 7, so the first chunk of three keeps one point and the next two
+    p8, p10 = _kronecker_point(8), _kronecker_point(10)
+    rejecting = Realization(A=MatrixPolynomial.from_scalars(p8 * p10, -(p8 + p10), 1),
+                            B=np.ones((1, 1)), C=np.ones((1, 1)),
+                            D=MatrixPolynomial.from_scalars(0, 1))
+    cases = [(rejecting, 3, 7), (rejecting, 10, 7)]
+    cases += [(random_realization(rng, *dims), count, seed)
+              for dims, count, seed in (((1, 1, 1, 1), 10, 7), ((2, 3, 1, 2), 10, 0),
+                                        ((3, 2, 2, 1), 20, 3), ((1, 4, 2, 2), 7, 11))]
+    for R, count, seed in cases:
+        expected = nonpole_samples_per_point(R, count, seed)
+        assert nonpole_samples(R, count, seed).tobytes() == expected.tobytes()
+    assert p8 not in nonpole_samples(rejecting, 3) and p10 not in nonpole_samples(rejecting, 3)
+    assert nonpole_samples(rejecting, 0).size == 0
+
+
+def test_verify_data_of_small_scale():
+    # the sampler's rank floor is min(1, max_j |A_j|): floored at 1, every
+    # A(lambda) of these data read as singular and verify found no sample point
+    R = Realization(A=MatrixPolynomial.from_scalars(-2e-4, 1e-4), B=np.ones((1, 1)),
+                    C=np.ones((1, 1)), D=MatrixPolynomial.from_scalars(0, 1))
+    assert nonpole_samples(R, 10).size == 10
+    rng = np.random.default_rng(3)
+    small = random_realization(rng, 1, 5, 2, 2)
+    small = Realization(A=MatrixPolynomial(tuple(3e-4 * c for c in small.A.coeffs)),
+                        B=small.B, C=small.C, D=small.D)
+    for R in (R, small):
+        for build in (build_C1, build_C2, build_DL):
+            report = verify_linearization(build(R), R)
+            assert report.passed, (build.__name__, report.reason)
+
+
+@pytest.mark.parametrize("v", [
+    [0.0, 2.0, -1j], [-3.0, 0.5, 0.5], [1 + 2j, -0.3j, 4.0], [1.0, 0.0, 0.0], [1.0],
+    [0.0, 0.0, 1e-200], [1e200 - 3e199j, 2e200, -7e199]])
+def test_unit_mapping_sends_v_to_e1(v):
+    from syspencils.spectra import _unit_mapping
+
+    v = np.array(v, dtype=complex)
+    scale = np.max(np.abs(v))
+    M = _unit_mapping(v)
+    assert np.isfinite(M).all()
+    Mv = M @ v
+    assert abs(Mv[0] - 1.0) <= 1e-14
+    assert np.max(np.abs(Mv[1:]), initial=0.0) <= 1e-14 * scale
+    # with row 0 scaled back by ||v|| M is unitary, so M is nonsingular
+    U = M.copy()
+    U[0] *= scale * np.linalg.norm(v / scale)
+    assert np.allclose(U @ U.conj().T, np.eye(v.size), atol=1e-14)
 
 
 def test_verify_c1_r1(r1):
