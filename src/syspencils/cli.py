@@ -154,7 +154,7 @@ def _load_pencil_and_problem(args):
 def cmd_verify(args) -> int:
     P, R = _load_pencil_and_problem(args)
     scale = 0.5 if args.strict else 1.0
-    tol_res = default_tol_res(R) if args.tol is None else args.tol
+    tol_res = default_tol_res(P, R) if args.tol is None else args.tol
     report = verify_linearization(P, R, tol_res=tol_res * scale, tol_eig=args.tol_eig * scale)
     _emit(report.to_dict())
     return EXIT_PASS if report.passed else EXIT_FAIL

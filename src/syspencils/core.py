@@ -17,6 +17,7 @@ All types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,12 @@ def check_finite(owner: str, **fields) -> None:
     for name, a in arrays:
         if not np.isfinite(a).all():
             raise ValueError(f"{owner}.{name} must be finite")
+
+
+def max_entry(*arrays) -> float:
+    """Largest modulus of any entry of the arrays (0 when they are empty), in one pass."""
+    flat = np.concatenate([np.ravel(a) for a in arrays])
+    return float(np.abs(flat).max()) if flat.size else 0.0
 
 
 def _freeze(a) -> np.ndarray:
@@ -117,8 +124,14 @@ class MatrixPolynomial:
     def transpose(self) -> "MatrixPolynomial":
         return MatrixPolynomial(tuple(c.T for c in self.coeffs))
 
+    @cached_property
+    def scale(self) -> float:
+        """Largest modulus of any coefficient entry, computed once and stored."""
+        return max_entry(*self.coeffs)
+
     def max_norm(self) -> float:
-        return float(np.abs(np.concatenate([c.ravel() for c in self.coeffs])).max())
+        """Largest modulus of any coefficient entry: the stored :attr:`scale`."""
+        return self.scale
 
 
 def eval_polymat(P: MatrixPolynomial, lam: complex) -> np.ndarray:
@@ -213,6 +226,11 @@ class Realization:
             raise DimensionError(f"C must be {r}x{n}, got {C.shape}")
         check_finite("Realization", A=self.A.coeffs, B=B, C=C, D=self.D.coeffs)
 
+    @cached_property
+    def scale(self) -> float:
+        """Largest modulus of any entry of A_j, B, C or D_j, computed once and stored."""
+        return max(self.A.scale, self.D.scale, max_entry(self.B, self.C))
+
     @property
     def n(self) -> int:
         return self.A.rows
@@ -299,16 +317,16 @@ def probe_solve(K: np.ndarray, rhs: np.ndarray, norm_floor: float = 0.0):
 def _guarded_solve(R: Realization, lam, rhs: np.ndarray, transpose: bool = False):
     """``A(lambda)^{-1} rhs`` (``A(lambda)^{-T} rhs`` with ``transpose``) from one
     :func:`probe_solve`, after the pole guard: PoleError when numpy finds an exactly
-    zero pivot, or when the probe's reciprocal condition estimate, with ``||A||_1``
-    floored at 1, is at most ``POLE_RTOL``.  An A(lambda) that overflows is a
-    pole too, without a floating-point warning.  A 1-D array of points
+    zero pivot, or when the probe's reciprocal condition estimate, with ``||A||_1`` floored
+    at the data's own scale ``max_j |A_j|``, is at most ``POLE_RTOL``.  An A(lambda) that
+    overflows is a pole too, without a floating-point warning.  A 1-D array of points
     gives the solutions stacked along a first axis, and PoleError when any
     point is a pole."""
     points = lam[:, None, None] if isinstance(lam, np.ndarray) and lam.ndim == 1 else lam
     with np.errstate(all="ignore"):
         M = eval_polymat(R.A, points)
         try:
-            x, rcond = probe_solve(M.swapaxes(-1, -2) if transpose else M, rhs, 1.0)
+            x, rcond = probe_solve(M.swapaxes(-1, -2) if transpose else M, rhs, R.A.scale)
         except np.linalg.LinAlgError:
             rcond = 0.0
     if rcond <= POLE_RTOL:
@@ -317,7 +335,7 @@ def _guarded_solve(R: Realization, lam, rhs: np.ndarray, transpose: bool = False
 
 
 def solve_state(R: Realization, lam, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A(lambda) x = rhs``; raises PoleError near a pole.
+    """Solve ``A(lambda) x = rhs``; PoleError near a pole, judged at the scale ``max_j |A_j|``.
 
     ``lam`` may be a 1-D array of points: the solutions then stack along a
     first axis, and PoleError is raised when any point is a pole."""
@@ -336,7 +354,7 @@ def eval_transfer(R: Realization, lam: complex) -> np.ndarray:
     inverse.  PoleError signals that lambda is numerically a pole of G: an
     exactly zero pivot, or a probe estimate of the 1-norm reciprocal
     condition of A(lambda) at most ``POLE_RTOL``, with ``||A(lambda)||_1``
-    floored at 1 (see :func:`probe_solve`).
+    floored at ``max_j |A_j|`` (see :func:`probe_solve`).
     """
     return R.C @ solve_state(R, lam, R.B) + eval_polymat(R.D, lam)
 
@@ -353,26 +371,22 @@ def transpose_realization(R: Realization) -> Realization:
 
 
 def realization_scale(R: Realization) -> float:
-    """Max-norm scale of the realization data (used by tolerance defaults)."""
-    data = R.A.coeffs + R.D.coeffs + (R.B, R.C)
-    return float(np.abs(np.concatenate([c.ravel() for c in data])).max())
+    """``R.scale``, the data's own scale: every floor and tolerance on the data reads it."""
+    return R.scale
 
 
 def _is_structured(R: Realization, conj: bool) -> bool:
-    """(Conjugate) symmetry of R in max norm, to ``1e-10 max(1, scale of R)``."""
+    """(Conjugate) symmetry of R in max norm, to ``1e-10`` times the data's scale."""
     op = (lambda M: M.conj().T) if conj else (lambda M: M.T)
-    dev = 0.0
-    for c in R.A.coeffs + R.D.coeffs:
-        dev = max(dev, float(np.max(np.abs(c - op(c)))))
-    dev = max(dev, float(np.max(np.abs(op(R.C) - R.B))))
-    return dev <= 1e-10 * max(1.0, realization_scale(R))
+    dev = max_entry(*(c - op(c) for c in R.A.coeffs + R.D.coeffs), op(R.C) - R.B)
+    return dev <= 1e-10 * R.scale
 
 
 def is_symmetric_realization(R: Realization) -> bool:
-    """True when all A_i, D_i are symmetric and C^T = B, to tolerance."""
+    """True when all A_i, D_i are symmetric and C^T = B, to ``1e-10 realization_scale(R)``."""
     return _is_structured(R, conj=False)
 
 
 def is_hermitian_realization(R: Realization) -> bool:
-    """True when all A_i, D_i are Hermitian and C* = B, to tolerance."""
+    """True when all A_i, D_i are Hermitian and C* = B, to ``1e-10 realization_scale(R)``."""
     return _is_structured(R, conj=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BlockDims
+from .core import BlockDims, max_entry
 from .errors import DimensionError
 
 __all__ = [
@@ -135,8 +135,5 @@ def block_transpose(A: np.ndarray, dims: BlockDims) -> np.ndarray:
 
 
 def is_block_symmetric(A: np.ndarray, dims: BlockDims) -> bool:
-    """True when ``A`` equals its block transpose to ``1e-10 max(1, max|A|)`` in max norm."""
-    A = np.asarray(A, dtype=complex)
-    amax = float(np.max(np.abs(A))) if A.size else 0.0
-    tol = 1e-10 * max(1.0, amax)
-    return float(np.max(np.abs(A - block_transpose(A, dims)))) <= tol
+    """True when ``A`` equals its block transpose to ``1e-10 max|A|`` in max norm."""
+    return max_entry(A - block_transpose(A, dims)) <= 1e-10 * max_entry(A)

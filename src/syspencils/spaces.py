@@ -33,8 +33,8 @@ from .core import (
     is_hermitian_realization,
     is_symmetric_realization,
     lambda_vector,
+    max_entry,
     padded_identity,
-    realization_scale,
     solve_state,
     transpose_realization,
 )
@@ -292,7 +292,7 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
     ``+w e_{m+1}^T kron C`` off the diagonal with the same pair; X must be
     block diagonal.  The pair is fitted per block row by least squares
     from the diagonal partitions and everything is re-checked against it,
-    to ``MEMBERSHIP_RTOL`` times the scale of the pencil and the data.
+    to ``MEMBERSHIP_RTOL max(p, s)``, p and s the largest entries of pencil and data.
 
     Second-space membership is tested on the transposed pencil against the
     sign-normalized transpose realization and returns the left pair (s, z).
@@ -311,8 +311,7 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
     t = dims.top
     if X.shape != (dims.size, dims.size) or Y.shape != (dims.size, dims.size):
         raise DimensionError(f"pencil side must be {dims.size} for dims {dims}")
-    scale = max(1.0, float(np.max(np.abs(X))), float(np.max(np.abs(Y))), realization_scale(R))
-    atol = MEMBERSHIP_RTOL * scale
+    atol = MEMBERSHIP_RTOL * max(max_entry(X, Y), R.scale)
 
     Z = block_shift_sum(X, Y, dims)
     ct = (m + 1) * n

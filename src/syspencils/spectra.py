@@ -24,9 +24,9 @@ from .core import (
     build_system_matrix,
     eval_polymat,
     lambda_vector,
+    max_entry,
     numerical_rank,
     probe_solve,
-    realization_scale,
     solve_state,
     solve_state_left,
 )
@@ -80,18 +80,20 @@ def system_zeros(R: Realization) -> np.ndarray:
 
     They are the finite eigenvalues of the block companion pencil
     ``lambda X + Y`` of ``S(lambda) = sum_j lambda^j S_j`` of degree d, with
-    ``X = diag(S_d, I, ..., I)``, first block row of ``Y`` equal to
-    ``[S_{d-1}, ..., S_0]`` and ``-I`` on its block subdiagonal.  Pencil and
-    reference thus share one eigensolver, one finiteness rule and one
-    regularity test: SingularSystem when its shift search finds S(lambda) singular.
+    ``X = diag(S_d, sI, ..., sI)``, first block row ``[S_{d-1}, ..., S_0]`` of ``Y``
+    and ``-sI`` on its block subdiagonal; s is the data's scale (``realization_scale``):
+    a left factor ``diag(I, sI, ..., sI)`` that leaves the eigenvalues alone and the
+    reference the same at every scale.  Pencil and reference share one eigensolver,
+    one finiteness rule and one regularity test: SingularSystem when its shift search
+    finds S(lambda) singular.
     """
     S = build_system_matrix(R).coeffs
-    s, d = S[0].shape[0], len(S) - 1
-    X = np.eye(s * d, dtype=complex)
-    X[:s, :s] = S[d]
+    n, d = S[0].shape[0], len(S) - 1
+    X = R.scale * np.eye(n * d, dtype=complex)
+    X[:n, :n] = S[d]
     Y = np.zeros_like(X)
-    Y[:s] = np.hstack(S[d - 1::-1])
-    Y[s:, :-s] = -np.eye(s * (d - 1))
+    Y[:n] = np.hstack(S[d - 1::-1])
+    Y[n:, :-n] = -R.scale * np.eye(n * (d - 1))
     return solve_pencil(X, Y, left=False, right=False).eigenvalues
 
 
@@ -302,12 +304,12 @@ def nonpole_samples(R: Realization, count: int, seed: int = 7) -> np.ndarray:
     Point j > seed of a Kronecker sequence has radius ``0.4 + 1.2 frac(j phi)``
     (phi the golden ratio) and angle ``2 pi frac(j sqrt 2)``.  Points where A(lambda)
     has numerical rank below n at relative tolerance 1e-3 (``sigma_min <= 1e-3
-    max(f, sigma_max)`` with the floor ``f = min(1, max_j |A_j|)``, so data of small
-    scale are judged by their own scale) are skipped, so downstream solves stay well
+    max(sigma_max, max_j |A_j|)``: the floor is the data's own scale, so the points do
+    not change when A is scaled) are skipped, so downstream solves stay well
     conditioned.  The candidates are drawn and rank-tested ``count`` at a time, with
     one stacked SVD per chunk, up to ``200 count`` in all.
     """
-    floor, out, step = min(1.0, R.A.max_norm()), [], max(count, 1)
+    floor, out, step = R.A.scale, [], max(count, 1)
     for start in range(seed + 1, seed + 1 + 200 * step, step):
         j = np.arange(start, start + count, dtype=float)
         lam = (0.4 + 1.2 * (j * 1.618033988749895 % 1)) * np.exp(2j * np.pi * (j * 2**0.5 % 1))
@@ -349,9 +351,10 @@ class SpectralReport:
         }
 
 
-def default_tol_res(R: Realization) -> float:
-    """Default ansatz-residual tolerance: ``1e-10 (1 + max-norm scale of R)``."""
-    return 1e-10 * (1.0 + realization_scale(R))
+def default_tol_res(P: AnsatzPencil, R: Realization) -> float:
+    """Default ansatz-residual tolerance ``1e-10 (p + s)``, p the largest entry of the
+    pencil and s that of the data (``realization_scale``): both set the residual's rounding."""
+    return 1e-10 * (max_entry(P.X, P.Y) + R.scale)
 
 
 def verify_linearization(P: AnsatzPencil, R: Realization,
@@ -366,7 +369,7 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     system zeros as multisets at ``tol_eig`` under the scale-aware greedy
     matching.  The verdict is pass exactly when (i) and (iii) hold.
     """
-    tol_res = default_tol_res(R) if tol_res is None else tol_res
+    tol_res = default_tol_res(P, R) if tol_res is None else tol_res
     zeros = system_zeros(R)
 
     def fail(reason, pencil_eigs=None, **kw):
@@ -450,15 +453,14 @@ def lift_left(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
 class RecoveredVector:
     """Eigenvector recovered from a lifted pencil eigenvector.
 
-    ``transfer_residual`` is ``||G(lam0) x||`` for a right vector and
-    ``||x* G(lam0)||`` for a left one; the solve with A(lam0) that lifts
-    ``x`` also gives that product.
+    ``x`` is unit norm, read from the largest bottom block (:func:`recover_right`);
+    ``transfer_residual`` is ``||G(lam0) x||`` for a right vector and ``||x* G(lam0)||``
+    for a left one, from the solve with A(lam0) that lifts ``x``.
     """
 
     x: np.ndarray
     structural_residual: float
     transfer_residual: float
-    used_fallback: bool = False
 
 
 def _recover(u: np.ndarray, dims: BlockDims, R: Realization, lam0: complex,
@@ -469,39 +471,27 @@ def _recover(u: np.ndarray, dims: BlockDims, R: Realization, lam0: complex,
     norm_u = _norm(u)
     if norm_u == 0.0:
         raise DegenerateVector("zero vector cannot be recovered from")
-    k, r = dims.k, dims.r
-    bottom = u[dims.top:]
-    trailing = bottom[(k - 1) * r:]
-    used_fallback = False
-    if _norm(trailing) <= 1e-8 * norm_u:
-        # trailing coefficient of the power stack is tiny; fall back to the
-        # largest block, dividing out its power of lambda
-        blocks = bottom.reshape(k, r)
-        j = int(np.argmax(np.linalg.norm(blocks, axis=1)))
-        power = lam0 ** (k - 1 - j)
-        if left:
-            power = np.conj(power)
-        if _norm(blocks[j]) <= 1e-12 * norm_u or abs(power) < 1e-300:
-            raise DegenerateVector("no block of the bottom partition is usable")
-        trailing = blocks[j] / power
-        used_fallback = True
-    x = trailing / _norm(trailing)
+    blocks = u[dims.top:].reshape(dims.k, dims.r)  # Lambda_{k-1} kron x
+    norms = [_norm(b) for b in blocks]  # the largest block carries the least rounding
+    j = norms.index(max(norms))
+    power, norm_j = lam0 ** (dims.k - 1 - j), norms[j]
+    if norm_j <= 1e-12 * norm_u or not 1e-300 <= abs(power) < math.inf:
+        raise DegenerateVector("no block of the bottom partition is usable")
+    x = blocks[j] / (norm_j * (np.conj(power) if left else power) / abs(power))  # unit norm
     L, Gx = _lift(R, x, lam0, left)
     c = np.vdot(u, L) / norm_u ** 2
-    residual = _norm(c * u - L)
-    transfer = _norm(Gx)
-    return RecoveredVector(x=x, structural_residual=residual, transfer_residual=transfer,
-                           used_fallback=used_fallback)
+    return RecoveredVector(x=x, structural_residual=_norm(c * u - L),
+                           transfer_residual=_norm(Gx))
 
 
 def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
                   lam0: complex) -> RecoveredVector:
     """Extract the transfer-function eigenvector from a right pencil eigenvector.
 
-    The trailing r entries of the bottom partition carry the eigenvector
-    (they multiply the trailing 1 of the power stack); the result is unit
-    norm and the structural residual reports the distance of ``u`` to the
-    lifted form at the best scale.
+    The bottom partition of ``u`` is ``Lambda_{k-1}(lam0) kron x``: x is its block of
+    largest norm divided by that block's power of lam0 (the trailing block when
+    ``|lam0| <= 1``), at unit norm (DegenerateVector when that block is negligible).
+    The structural residual is the distance of ``u`` to the lifted form at the best scale.
     """
     return _recover(u, dims, R, lam0, left=False)
 

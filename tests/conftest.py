@@ -34,6 +34,12 @@ def random_hermitian_realization(rng, m, n, k, r):
     return Realization(A=A, B=B, C=B.conj().T.copy(), D=D)
 
 
+def scaled_realization(R, c):
+    """``c R``: the coefficients of A and D, B and C, all times c."""
+    return Realization(A=MatrixPolynomial(tuple(c * a for a in R.A.coeffs)), B=c * R.B,
+                       C=c * R.C, D=MatrixPolynomial(tuple(c * d for d in R.D.coeffs)))
+
+
 def badly_scaled_l2g_member():
     """``(P, R)``: the sampled l2g member of (1, 2, 3, 3) data with per-matrix
     scales 10^U(-4, 4), whose shift-and-invert eigenpairs fail the backward-error

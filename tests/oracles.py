@@ -112,11 +112,12 @@ def nonpole_samples_per_point(R: Realization, count: int, seed: int = 7) -> np.n
     """The sampler's points from a generator, one SVD of A(lambda) per candidate.
 
     Candidate j = seed + 1, seed + 2, ... is kept when every singular value is
-    above ``1e-3 max(sigma_max, min(1, max_j |A_j|))``, up to 200 count candidates.
+    above ``1e-3 max(sigma_max, max_j |A_j|)``, up to 200 count candidates: the
+    floor is the data's own scale, so the points do not change when A is scaled.
     """
     from itertools import islice
 
-    floor = min(1.0, max(float(np.max(np.abs(c))) for c in R.A.coeffs))
+    floor = max(float(np.max(np.abs(c))) for c in R.A.coeffs)
 
     def full_rank(lam):
         sv = np.linalg.svd(eval_polymat(R.A, lam), compute_uv=False)

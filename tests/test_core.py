@@ -200,10 +200,21 @@ def test_pole_guard_threshold(call, n):
 
 @pytest.mark.parametrize("call", sorted(_GUARDED))
 def test_pole_guard_norm_floor(call):
-    # ||A(0)|| is floored at 1: a tiny but perfectly conditioned A(0) is a pole
+    # ||A(0)|| is floored at the data's scale max_j |A_j| = 1 (A_1 = I): a tiny
+    # but perfectly conditioned A(0) is a pole of these data
     with pytest.raises(PoleError):
         _GUARDED[call](_at_zero(1e-13 * np.eye(3, dtype=complex)))
     assert np.isfinite(_GUARDED[call](_at_zero(1e-11 * np.eye(3, dtype=complex)))).all()
+
+
+@pytest.mark.parametrize("call", sorted(_GUARDED))
+def test_pole_guard_floor_scales_with_the_data(call):
+    # A(lambda) = 1e-13 (A_0 + lambda I) is as far from singular at 0 as A_0 + lambda I
+    A0 = _with_singular_values(np.random.default_rng(9), np.array([1.0, 0.5, 0.2]))
+    R = _at_zero(A0)
+    tiny = Realization(A=MatrixPolynomial(tuple(1e-13 * c for c in R.A.coeffs)), B=R.B, C=R.C,
+                       D=R.D)
+    assert np.isfinite(_GUARDED[call](tiny)).all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

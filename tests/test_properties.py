@@ -29,7 +29,6 @@ from syspencils import (  # noqa: E402
     sample_space,
     transpose_realization,
 )
-from syspencils.core import realization_scale  # noqa: E402
 from syspencils.cli import main  # noqa: E402
 from syspencils.io import (  # noqa: E402
     decode_matrix,
@@ -41,6 +40,7 @@ from syspencils.io import (  # noqa: E402
     save_json,
 )
 from syspencils.spaces import SPACE_L1G, SPACE_L1S, SPACE_L2G, AnsatzPencil  # noqa: E402
+from syspencils.spectra import default_tol_res  # noqa: E402
 
 #: Signed zeros, subnormals and extreme exponents, mixed with any finite float.
 _EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -211,7 +211,7 @@ def test_second_space_member_transposes_into_the_first_space(dims, zero, seed):
     assert np.allclose(got_w, P.w, rtol=1e-10, atol=1e-12)
     first = AnsatzPencil(X=P.X.T, Y=P.Y.T, dims=R.dims, space=SPACE_L1G, v=P.v, w=P.w)
     samples = nonpole_samples(R, 4, seed=seed % 1000)
-    tol = 1e-10 * (1.0 + realization_scale(R))
+    tol = default_tol_res(P, R)  # the default of verify_linearization
     assert residual_ansatz(first, Rt, samples) <= tol
     assert residual_ansatz(P, R, samples) <= tol
 
@@ -225,7 +225,7 @@ def test_double_ansatz_residual_within_tolerance_and_perturbation_exceeds_it(
     R = _realization(dims, zero, seed, kind={"dl": "general"}.get(space, space))
     P = sample_space(R, seed, space)
     samples = nonpole_samples(R, 4, seed=seed % 1000)
-    tol = 1e-10 * (1.0 + realization_scale(R))  # the default of verify_linearization
+    tol = default_tol_res(P, R)  # the default of verify_linearization
     assert residual_ansatz(P, R, samples) <= tol
     rng = np.random.default_rng(seed + 2)
     noise = rng.standard_normal(P.Y.shape) * 1e-6 * np.max(np.abs(P.Y))

@@ -123,6 +123,8 @@ def test_is_block_symmetric():
     rng = np.random.default_rng(4)
     R = random_realization(rng, 2, 1, 1, 1)
     assert not is_block_symmetric(build_C1(R).Y, dims)
+    # the tolerance is at the scale of the matrix itself
+    assert not is_block_symmetric(1e-11 * build_C1(R).Y, dims)
 
 
 def test_dl_pencil_is_block_symmetric():

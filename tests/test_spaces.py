@@ -7,6 +7,7 @@ from conftest import (
     random_hermitian_realization,
     random_realization,
     random_symmetric_realization,
+    scaled_realization,
 )
 from oracles import constraint_nullity, det_scalar_poly, residual_l1s_per_point
 
@@ -235,9 +236,12 @@ def test_symmetric_random():
 
 
 def test_symmetric_rejects_asymmetric():
-    rng = np.random.default_rng(13)
-    with pytest.raises(StructureError):
-        build_symmetric(random_realization(rng, 2, 2, 2, 1))
+    # the structure tolerance is 1e-10 times the data's own scale, not 1e-10
+    R = random_realization(np.random.default_rng(13), 2, 2, 2, 1)
+    for build in (build_symmetric, build_hermitian):
+        for scale in (1.0, 1e-11):
+            with pytest.raises(StructureError):
+                build(scaled_realization(R, scale))
 
 
 def test_hermitian_real_data_matches_symmetric():

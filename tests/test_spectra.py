@@ -5,12 +5,15 @@ import pytest
 from conftest import (
     badly_scaled_l2g_member,
     cgauss,
+    random_hermitian_realization,
     random_realization,
     random_symmetric_realization,
+    scaled_realization,
 )
 from oracles import det_roots, det_scalar_poly, nonpole_samples_per_point, qz_eigvals
 
 from syspencils import (
+    AnsatzPencil,
     BlockDims,
     DegenerateVector,
     InterpolationError,
@@ -59,6 +62,17 @@ def test_system_zeros(r1, r2):
     assert worst < 1e-6
     _, worst = match_multisets(system_zeros(r2), np.roots([1, 0, 1, 1]))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e12])
+def test_system_zeros_do_not_depend_on_the_data_scale(c):
+    # the companion's identity blocks are at the data's scale, a left factor
+    # diag(I, sI, ...) that leaves the eigenvalues alone
+    R = random_realization(np.random.default_rng(8), 2, 3, 3, 2)
+    want, got = system_zeros(R), system_zeros(scaled_realization(R, c))
+    assert got.size == want.size
+    pairs, _ = match_multisets(got, want)
+    assert all(abs(got[i] - want[j]) <= 1e-12 * abs(want[j]) for i, j, _ in pairs)
 
 
 def test_system_zeros_decoupled():
@@ -508,8 +522,8 @@ def test_nonpole_samples_equal_the_per_point_generator():
 
 
 def test_verify_data_of_small_scale():
-    # the sampler's rank floor is min(1, max_j |A_j|): floored at 1, every
-    # A(lambda) of these data read as singular and verify found no sample point
+    # the sampler's rank floor is max_j |A_j|: floored at 1, every A(lambda)
+    # of these data read as singular and verify found no sample point
     R = Realization(A=MatrixPolynomial.from_scalars(-2e-4, 1e-4), B=np.ones((1, 1)),
                     C=np.ones((1, 1)), D=MatrixPolynomial.from_scalars(0, 1))
     assert nonpole_samples(R, 10).size == 10
@@ -521,6 +535,59 @@ def test_verify_data_of_small_scale():
         for build in (build_C1, build_C2, build_DL):
             report = verify_linearization(build(R), R)
             assert report.passed, (build.__name__, report.reason)
+
+
+_MEMBERS = {
+    "c1": build_C1, "c2": build_C2, "dl": build_DL,
+    **{space: (lambda R, space=space: sample_space(R, 3, space))
+       for space in ("l1g", "l2g", "l1s", "sym", "herm")},
+}
+
+
+@pytest.mark.parametrize("kind, dims", [(kind, dims) for kind in _MEMBERS
+                                        for dims in ((2, 1, 3, 2), (3, 2, 2, 1))
+                                        if kind != "l1s" or dims[3] <= dims[1]])
+def test_verify_does_not_depend_on_the_data_scale(kind, dims):
+    # lambda cX + cY linearizes cG exactly when lambda X + Y linearizes G: every
+    # floor and tolerance of verify is relative to the scale of the data and pencil
+    rng = np.random.default_rng(sum(dims))
+    make = {"sym": random_symmetric_realization, "herm": random_hermitian_realization}
+    R = make.get(kind, random_realization)(rng, *dims)
+    P = _MEMBERS[kind](R)
+    E = np.eye(P.dims.size) + 0.3 * rng.standard_normal((P.dims.size, P.dims.size))
+    assert verify_linearization(P, R).passed
+    for c in (1e-20, 1e-12, 1e-8, 1e8, 1e12, 1e20):
+        Rc = scaled_realization(R, c)
+        for X, Y, member in ((P.X, P.Y, True), (E @ P.X, E @ P.Y, False)):
+            cP = AnsatzPencil(X=c * X, Y=c * Y, dims=P.dims, space=P.space, v=P.v, w=P.w)
+            report = verify_linearization(cP, Rc)
+            if member:
+                assert (report.verdict, report.reason) == ("pass", ""), (c, report.reason)
+            else:
+                assert report.reason.startswith("membership"), (c, report.reason)
+
+
+def _scalar_realization(c, a_coeffs, b):
+    """A = c a(lambda), B = C = b, D = b lambda, from ascending coefficients of a."""
+    return Realization(A=MatrixPolynomial.from_scalars(*(c * x for x in a_coeffs)),
+                       B=np.array([[b]]), C=np.array([[b]]),
+                       D=MatrixPolynomial.from_scalars(0, b))
+
+
+def test_verify_at_extreme_data_scales():
+    # each was misjudged while floors and tolerances read the literal 1:
+    # a non-member of tiny data passed membership (1e-8 absolute tolerance)
+    R = _scalar_realization(1e-12, (-2, 1), 1e-12)
+    P = build_C1(R)
+    E = np.array([[1.0, 1.0], [0.0, 1.0]])
+    bad = AnsatzPencil(X=E @ P.X, Y=E @ P.Y, dims=P.dims, space=P.space, v=P.v, w=P.w)
+    assert verify_linearization(bad, R).reason.startswith("membership")
+    # the reference of large data was called singular (unit identity blocks)
+    R = _scalar_realization(1e10, (2, -3, 1), 1e10)
+    assert verify_linearization(build_DL(R), R).passed
+    # the pole guard floored ||A(lambda)|| at 1 and called every sample point a pole
+    R = _scalar_realization(1e-13, (-2, 1), 1.0)
+    assert verify_linearization(build_DL(R), R).passed
 
 
 @pytest.mark.parametrize("v", [
@@ -591,7 +658,6 @@ def test_recover_right_round_trip():
         phase = np.vdot(rec.x, xn)
         assert np.allclose(rec.x * phase / abs(phase), xn, atol=1e-10)
         assert rec.structural_residual < 1e-12
-        assert not rec.used_fallback
 
 
 def test_recover_right_r1(r1):
@@ -609,20 +675,29 @@ def test_recover_right_end_to_end(r2):
         assert np.linalg.norm(eval_transfer(r2, lam) @ rec.x) < 1e-8
 
 
-def test_recover_fallback_flag():
+def test_recover_reads_the_largest_bottom_block():
     rng = np.random.default_rng(5)
-    R = random_realization(rng, 1, 2, 2, 2)
+    R = random_realization(rng, 1, 2, 3, 2)
     x = cgauss(rng, 2)
-    lam0 = 2.0
-    u = lift_right(R, x, lam0)
-    u[-2:] = 0.0  # strip the trailing block; the larger block is still usable
-    rec = recover_right(u, R.dims, R, lam0)
-    assert rec.used_fallback
     xn = x / np.linalg.norm(x)
-    phase = np.vdot(rec.x, xn)
-    assert np.allclose(rec.x * phase / abs(phase), xn, atol=1e-10)
-    with pytest.raises(DegenerateVector):
-        recover_right(np.zeros(R.dims.size), R.dims, R, lam0)
+    for lam0 in (0.3, 2.0, 40.0 - 30.0j):
+        u = lift_right(R, x, lam0)
+        stripped = u.copy()
+        stripped[-2:] = 0.0  # strip the trailing block; a larger one is still usable
+        for vec in (u, stripped):
+            rec = recover_right(vec, R.dims, R, lam0)
+            phase = np.vdot(rec.x, xn)
+            assert np.allclose(rec.x * phase / abs(phase), xn, atol=1e-10)
+        with pytest.raises(DegenerateVector):
+            recover_right(np.zeros(R.dims.size), R.dims, R, lam0)
+    # bottom blocks that disagree show which one is read: the block of largest
+    # norm (here the middle one, power lam0), divided by its power of lam0
+    lam0, blocks = 40.0 - 30.0j, cgauss(rng, 3, 2)
+    blocks[1] *= 10.0
+    u = np.concatenate([np.ones(R.dims.top), blocks.ravel()])
+    want = blocks[1] / lam0
+    assert np.allclose(recover_right(u, R.dims, R, lam0).x, want / np.linalg.norm(want),
+                       rtol=0, atol=1e-14)
 
 
 def test_lift_and_recover_left(r1):
