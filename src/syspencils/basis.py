@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Realization, lambda_vector, numerical_rank
+from .core import Realization, numerical_rank
 from .errors import DimensionError, SingularBasis
-from .spaces import SPACE_L1G, AnsatzPencil, _transfer_residual, build_pencil_L1
+from .spaces import SPACE_L1G, AnsatzPencil, build_pencil_L1, residual_ansatz
 
 __all__ = [
     "BasisSpec",
@@ -93,12 +93,24 @@ def phi_matrix(spec: BasisSpec) -> np.ndarray:
     return Phi
 
 
-def _right_transform(Phi: np.ndarray, Psi: np.ndarray, n: int, r: int) -> np.ndarray:
-    m, k = Phi.shape[0], Psi.shape[0]
-    T = np.zeros((m * n + k * r, m * n + k * r), dtype=complex)
-    T[: m * n, : m * n] = np.kron(Phi, np.eye(n))
-    T[m * n:, m * n:] = np.kron(Psi, np.eye(r))
-    return T
+def _change_basis(P: AnsatzPencil, spec_A: BasisSpec, spec_D: BasisSpec,
+                  to_monomial: bool) -> AnsatzPencil:
+    """``P`` right-multiplied by ``blockdiag(T_A kron I_n, T_D kron I_r)``.
+
+    T is the spec's Phi (basis form to monomial) or its inverse (monomial to
+    basis form).  Each row of a partition's block columns, read as a stack of
+    blocks, is multiplied by ``T^T``: one stacked product per partition, no
+    N x N Kronecker matrix.
+    """
+    dims = P.dims
+    if spec_A.d != dims.m or spec_D.d != dims.k:
+        raise DimensionError("basis sizes must match the polynomial degrees (m, k)")
+    N, t = dims.size, dims.top
+    XY = np.stack([P.X, P.Y])
+    for cols, spec, b in ((slice(0, t), spec_A, dims.n), (slice(t, N), spec_D, dims.r)):
+        T = phi_matrix(spec) if to_monomial else np.linalg.inv(phi_matrix(spec))
+        XY[..., cols] = (T.T @ XY[..., cols].reshape(2, N, spec.d, b)).reshape(2, N, -1)
+    return AnsatzPencil(X=XY[0], Y=XY[1], dims=dims, space=P.space, v=P.v, w=P.w)
 
 
 def build_L1_tilde(R: Realization, spec_A: BasisSpec, spec_D: BasisSpec,
@@ -111,13 +123,8 @@ def build_L1_tilde(R: Realization, spec_A: BasisSpec, spec_D: BasisSpec,
     ``T(lambda) [Lambda_phi kron A^{-1}B ; Lambda_psi kron I_r] =
     [0 ; w kron G(lambda)]``.
     """
-    if spec_A.d != R.m or spec_D.d != R.k:
-        raise DimensionError("basis sizes must match the polynomial degrees (m, k)")
-    P = build_pencil_L1(R, v, w, W, W1, space=SPACE_L1G)
-    T = _right_transform(np.linalg.inv(phi_matrix(spec_A)), np.linalg.inv(phi_matrix(spec_D)),
-                         R.n, R.r)
-    return AnsatzPencil(X=P.X @ T, Y=P.Y @ T, dims=P.dims, space=SPACE_L1G,
-                        v=P.v, w=P.w, W=P.W, W1=P.W1)
+    return _change_basis(build_pencil_L1(R, v, w, W, W1, space=SPACE_L1G), spec_A, spec_D,
+                         to_monomial=False)
 
 
 def tilde_to_monomial(P: AnsatzPencil, spec_A: BasisSpec, spec_D: BasisSpec) -> AnsatzPencil:
@@ -127,23 +134,15 @@ def tilde_to_monomial(P: AnsatzPencil, spec_A: BasisSpec, spec_D: BasisSpec) -> 
     inverse of :func:`build_L1_tilde`, and a linear isomorphism between
     the two spaces (strict equivalence, so spectra coincide).
     """
-    dims = P.dims
-    if spec_A.d != dims.m or spec_D.d != dims.k:
-        raise DimensionError("basis sizes must match the block dims (m, k)")
-    T = _right_transform(phi_matrix(spec_A), phi_matrix(spec_D), dims.n, dims.r)
-    return AnsatzPencil(X=P.X @ T, Y=P.Y @ T, dims=dims, space=P.space,
-                        v=P.v, w=P.w, W=None, W1=None)
+    return _change_basis(P, spec_A, spec_D, to_monomial=True)
 
 
 def residual_tilde(P: AnsatzPencil, R: Realization, spec_A: BasisSpec,
                    spec_D: BasisSpec, lam_samples) -> float:
     """Max deviation of the basis-form ansatz identity over the samples.
 
-    The monomial transfer identity with the power stacks replaced by the
-    basis stacks ``Phi Lambda_m`` and ``Psi Lambda_k``.
+    The identity with the basis stacks ``Phi Lambda_m`` and ``Psi Lambda_k``
+    is, in exact arithmetic, the monomial identity of the pencil's monomial
+    image, so this is the residual of :func:`tilde_to_monomial` of P.
     """
-    Phi = phi_matrix(spec_A)
-    Psi = phi_matrix(spec_D)
-    lams = np.asarray(lam_samples, dtype=complex).reshape(-1)
-    return _transfer_residual(P.X, P.Y, R, P.w, lams, lambda_vector(R.m, lams) @ Phi.T,
-                              lambda_vector(R.k, lams) @ Psi.T)
+    return residual_ansatz(tilde_to_monomial(P, spec_A, spec_D), R, lam_samples)

@@ -39,13 +39,8 @@ EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 
 #: Build source -> builder of the pencil from the realization.
-_BUILDERS = {
-    "c1": spaces.build_C1, "companion1": spaces.build_C1,
-    "c2": spaces.build_C2, "companion2": spaces.build_C2,
-    "dl": spaces.build_DL,
-    "sym": spaces.build_symmetric, "symmetric": spaces.build_symmetric,
-    "herm": spaces.build_hermitian, "hermitian": spaces.build_hermitian,
-}
+_BUILDERS = {"c1": spaces.build_C1, "c2": spaces.build_C2, "dl": spaces.build_DL,
+             "sym": spaces.build_symmetric, "herm": spaces.build_hermitian}
 
 #: Spaces an explicit ansatz can be built in; every other source fixes its own.
 _EXPLICIT_SPACES = (spaces.SPACE_L1S, spaces.SPACE_L1G, spaces.SPACE_L2G)
@@ -129,9 +124,9 @@ def cmd_build(args) -> int:
         P = _BUILDERS[args.source](R)
     specs = _basis_specs(args.basis, P, R)
     if specs:
-        from .basis import build_L1_tilde
+        from .basis import _change_basis
 
-        P = build_L1_tilde(R, *specs, P.v, P.w, P.W, P.W1)
+        P = _change_basis(P, *specs, to_monomial=False)
     save_json(args.output, pencil_to_dict(P))
     return EXIT_PASS
 

@@ -129,10 +129,6 @@ class MatrixPolynomial:
         """Largest modulus of any coefficient entry, computed once and stored."""
         return max_entry(*self.coeffs)
 
-    def max_norm(self) -> float:
-        """Largest modulus of any coefficient entry: the stored :attr:`scale`."""
-        return self.scale
-
 
 def eval_polymat(P: MatrixPolynomial, lam: complex) -> np.ndarray:
     """Evaluate ``P(lambda)`` by Horner's scheme."""
@@ -230,6 +226,11 @@ class Realization:
     def scale(self) -> float:
         """Largest modulus of any entry of A_j, B, C or D_j, computed once and stored."""
         return max(self.A.scale, self.D.scale, max_entry(self.B, self.C))
+
+    @cached_property
+    def _transpose(self) -> "Realization":
+        """:func:`transpose_realization` of this realization, built at first use."""
+        return Realization(A=self.A.transpose(), B=-self.C.T, C=-self.B.T, D=self.D.transpose())
 
     @property
     def n(self) -> int:
@@ -365,9 +366,10 @@ def transpose_realization(R: Realization) -> Realization:
     ``G^T = D^T + (-B^T) (A^T)^{-1} (-C^T)``; negating both constant blocks
     keeps the off-diagonal sign convention of the first-companion ansatz
     spaces intact under transposition, so that transposes of second-space
-    members land exactly in the first space of this realization.
+    members land exactly in the first space of this realization.  Built once
+    per realization and stored, as :attr:`Realization.scale` is.
     """
-    return Realization(A=R.A.transpose(), B=-R.C.T, C=-R.B.T, D=R.D.transpose())
+    return R._transpose
 
 
 def realization_scale(R: Realization) -> float:

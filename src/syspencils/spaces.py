@@ -96,12 +96,13 @@ def _as_free_block(W, rows: int, cols: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnsatzPencil:
-    """A pencil ``lambda X + Y`` with its space tag and ansatz data.
+    """A pencil ``lambda X + Y`` with its space tag and ansatz pair.
 
-    For the first-space tags the stored (v, w, W, W1) regenerate X and Y
-    through the characterization of the space; for the second space the
-    left ansatz pair (s, z) occupies the v and w slots and (W, W1) are the
-    free blocks of the underlying transposed construction.
+    X and Y fix the pencil; (v, w) is the right ansatz pair of a first-space
+    member, or the left pair (s, z) of a second-space one, as its builder set
+    it.  :func:`membership` reads the pair back from X and Y, which is what
+    ``verify`` does; the free blocks are ``X[:mn, n:mn]`` and ``X[mn:, mn+r:]``
+    (of the transposes for the second space).
     """
 
     X: np.ndarray
@@ -110,8 +111,6 @@ class AnsatzPencil:
     space: str
     v: np.ndarray
     w: np.ndarray
-    W: np.ndarray | None = None
-    W1: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=complex)
@@ -125,7 +124,7 @@ class AnsatzPencil:
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "v", _as_vector(self.v, self.dims.m, "AnsatzPencil.v"))
         object.__setattr__(self, "w", _as_vector(self.w, self.dims.k, "AnsatzPencil.w"))
-        check_finite("AnsatzPencil", X=X, Y=Y, v=self.v, w=self.w, W=self.W, W1=self.W1)
+        check_finite("AnsatzPencil", X=X, Y=Y, v=self.v, w=self.w)
 
     def __call__(self, lam: complex) -> np.ndarray:
         return lam * self.X + self.Y
@@ -165,7 +164,7 @@ def _l1_parts(R: Realization, v, w, W, W1):
         Y[lo:hi, lo:hi - b] -= F
     Y[:t, size - r:] = -_kron_col(v, R.B)
     Y[t:, t - n:t] = _kron_col(w, R.C)
-    return X, Y, v, w, W, W1
+    return X, Y, v, w
 
 
 def build_pencil_L1(R: Realization, v, w, W=None, W1=None, space: str = SPACE_L1G) -> AnsatzPencil:
@@ -180,8 +179,8 @@ def build_pencil_L1(R: Realization, v, w, W=None, W1=None, space: str = SPACE_L1
         raise DimensionError(f"space must be {SPACE_L1S!r} or {SPACE_L1G!r}, got {space!r}")
     if space == SPACE_L1S and R.r > R.n:
         raise DimensionError("the system-matrix ansatz identity requires r <= n")
-    X, Y, v, w, W, W1 = _l1_parts(R, v, w, W, W1)
-    return AnsatzPencil(X=X, Y=Y, dims=R.dims, space=space, v=v, w=w, W=W, W1=W1)
+    X, Y, v, w = _l1_parts(R, v, w, W, W1)
+    return AnsatzPencil(X=X, Y=Y, dims=R.dims, space=space, v=v, w=w)
 
 
 def build_pencil_L2(R: Realization, s, z, W=None, W1=None) -> AnsatzPencil:
@@ -195,8 +194,8 @@ def build_pencil_L2(R: Realization, s, z, W=None, W1=None) -> AnsatzPencil:
     W and W1 are the free blocks of the underlying transposed construction.
     """
     Rt = transpose_realization(R)
-    X, Y, s, z, W, W1 = _l1_parts(Rt, s, z, W, W1)
-    return AnsatzPencil(X=X.T, Y=Y.T, dims=R.dims, space=SPACE_L2G, v=s, w=z, W=W, W1=W1)
+    X, Y, s, z = _l1_parts(Rt, s, z, W, W1)
+    return AnsatzPencil(X=X.T, Y=Y.T, dims=R.dims, space=SPACE_L2G, v=s, w=z)
 
 
 def _companion_args(R: Realization):
@@ -238,9 +237,9 @@ def _dl_member(R: Realization, space: str, sign: float) -> AnsatzPencil:
     # other, which is impossible at (e_m, e_k) under the honest sign
     # convention (it would force C = -B^T instead of C = B^T).
     W1 = _anti_hankel(R.D, R.k)
-    X, Y, v, w, W, W1 = _l1_parts(R, np.eye(R.m)[-1], sign * np.eye(R.k)[-1],
-                                  _anti_hankel(R.A, R.m), W1 if sign > 0 else -W1)
-    return AnsatzPencil(X=X, Y=Y, dims=R.dims, space=space, v=v, w=w, W=W, W1=W1)
+    X, Y, v, w = _l1_parts(R, np.eye(R.m)[-1], sign * np.eye(R.k)[-1],
+                           _anti_hankel(R.A, R.m), W1 if sign > 0 else -W1)
+    return AnsatzPencil(X=X, Y=Y, dims=R.dims, space=space, v=v, w=w)
 
 
 def build_DL(R: Realization) -> AnsatzPencil:
@@ -296,6 +295,7 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
 
     Second-space membership is tested on the transposed pencil against the
     sign-normalized transpose realization and returns the left pair (s, z).
+    The double-ansatz tag tests both halves and returns the first-space pair.
     """
     if space not in SPACES:
         raise DimensionError(f"unknown space tag {space!r}")
@@ -331,6 +331,8 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
         raise NotAMember(
             f"shifted-sum residual {residual:.3e} exceeds tolerance {atol:.3e}"
         )
+    if space == SPACE_DL:
+        membership(X, Y, R, SPACE_L2G)
     return v, w
 
 
@@ -371,7 +373,7 @@ def sample_space(R: Realization, seed: int, space: str = SPACE_L1G) -> AnsatzPen
     if space != SPACE_HERM:
         alpha += 1j * rng.standard_normal()
     return AnsatzPencil(X=alpha * P.X, Y=alpha * P.Y, dims=P.dims, space=space,
-                        v=alpha * P.v, w=alpha * P.w, W=alpha * P.W, W1=alpha * P.W1)
+                        v=alpha * P.v, w=alpha * P.w)
 
 
 def _max_deviation(X, Y, lams, M, target) -> float:
@@ -395,19 +397,17 @@ def _residual_l1s(P: AnsatzPencil, R: Realization, lams: np.ndarray) -> float:
     return _max_deviation(P.X, P.Y, lams, M, target)
 
 
-def _transfer_residual(X, Y, R: Realization, w, lams, tops, bottoms) -> float:
-    """``max|(lam X + Y)[top kron A^{-1}B ; bottom kron I_r] - [0 ; w kron G]|`` over
-    the points ``lams``.
-
-    Row i of ``tops`` and ``bottoms`` is the power (or basis) stack at
-    ``lams[i]``; one stacked guarded solve gives every A(lam)^{-1} B and
+def _transfer_residual(X, Y, R: Realization, w, lams) -> float:
+    """``max|(lam X + Y)[Lambda_m kron A^{-1}B ; Lambda_k kron I_r] - [0 ; w kron G]|``
+    over the points ``lams``; one stacked guarded solve gives every A(lam)^{-1} B and
     G(lam).  No points give 0.
     """
     if lams.size == 0:
         return 0.0
     F = solve_state(R, lams, R.B)
     G = R.C @ F + eval_polymat(R.D, lams[:, None, None])
-    M = np.concatenate([_kron_col(tops, F), _kron_col(bottoms, np.eye(R.r))], axis=1)
+    M = np.concatenate([_kron_col(lambda_vector(R.m, lams), F),
+                        _kron_col(lambda_vector(R.k, lams), np.eye(R.r))], axis=1)
     return _max_deviation(X, Y, lams, M, _kron_col(w, G))
 
 
@@ -430,5 +430,4 @@ def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
         sides.append((P.X, P.Y, R))
     if P.space in (SPACE_L2G, SPACE_DL):
         sides.append((P.X.T, P.Y.T, transpose_realization(R)))
-    return max((_transfer_residual(X, Y, Rs, P.w, lams, lambda_vector(Rs.m, lams),
-                                   lambda_vector(Rs.k, lams)) for X, Y, Rs in sides), default=0.0)
+    return max((_transfer_residual(X, Y, Rs, P.w, lams) for X, Y, Rs in sides), default=0.0)

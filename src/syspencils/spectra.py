@@ -367,7 +367,9 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     (reported, not required; it is the sufficient condition), and (iii)
     spectral equivalence, i.e. the finite pencil eigenvalues match the
     system zeros as multisets at ``tol_eig`` under the scale-aware greedy
-    matching.  The verdict is pass exactly when (i) and (iii) hold.
+    matching.  The verdict is pass exactly when (i) and (iii) hold.  First,
+    :func:`membership` tests the pencil against its space; the ansatz pair it
+    reads back from X and Y, not the one stored in P, drives (i) and (ii).
     """
     tol_res = default_tol_res(P, R) if tol_res is None else tol_res
     zeros = system_zeros(R)
@@ -379,9 +381,10 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
                               verdict="fail", reason=reason, **kw)
 
     try:
-        membership(P.X, P.Y, R, P.space)
+        v, w = membership(P.X, P.Y, R, P.space)
     except NotAMember as exc:
         return fail(f"membership: {exc}")
+    P = replace(P, v=v, w=w)  # the pair that X and Y carry, not a stored copy
 
     samples = nonpole_samples(R, 10)
     res = residual_ansatz(P, R, samples)

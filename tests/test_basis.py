@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import cgauss, random_realization
@@ -98,7 +100,8 @@ def test_chebyshev_tilde_identity_on_companion_ansatz():
     C1 = build_C1(R)
     specA = BasisSpec(kind="chebyshev_T", d=3)
     specD = BasisSpec(kind="chebyshev_T", d=2)
-    Pt = build_L1_tilde(R, specA, specD, C1.v, C1.w, C1.W, C1.W1)
+    t = C1.dims.top  # the free blocks sit in X beside the ansatz columns
+    Pt = build_L1_tilde(R, specA, specD, C1.v, C1.w, C1.X[:t, R.n:t], C1.X[t:, t + R.r:])
     samples = nonpole_samples(R, 20, seed=3)
     assert residual_tilde(Pt, R, specA, specD, samples) < 1e-10
     # mapping back lands in the monomial space with the companion ansatz
@@ -106,6 +109,37 @@ def test_chebyshev_tilde_identity_on_companion_ansatz():
     v, w = membership(Pm.X, Pm.Y, R)
     assert np.allclose(v, np.eye(3)[0], atol=1e-10)
     assert np.allclose(w, np.eye(2)[0], atol=1e-10)
+
+
+def _dense_transform(Phi, Psi, n, r):
+    """The dense reference ``blockdiag(Phi kron I_n, Psi kron I_r)``."""
+    m, k = Phi.shape[0], Psi.shape[0]
+    T = np.zeros((m * n + k * r, m * n + k * r), dtype=complex)
+    T[: m * n, : m * n] = np.kron(Phi, np.eye(n))
+    T[m * n:, m * n:] = np.kron(Psi, np.eye(r))
+    return T
+
+
+@pytest.mark.parametrize("kind", ["chebyshev_T", "newton"])
+def test_block_transform_equals_the_dense_kronecker_product(kind):
+    # both directions: from the monomial form (Phi^{-1}) and back to it (Phi)
+    rng = np.random.default_rng(11)
+    for m, n, k, r in itertools.product(range(1, 5), range(1, 4), range(1, 5), range(1, 4)):
+        specA, specD = (BasisSpec(kind=kind, d=d, nodes=tuple(cgauss(rng, d - 1))
+                                  if kind == "newton" else ()) for d in (m, k))
+        R = random_realization(rng, m, n, k, r)
+        args = (cgauss(rng, m), cgauss(rng, k), cgauss(rng, m * n, (m - 1) * n),
+                cgauss(rng, k * r, (k - 1) * r))
+        Phi, Psi = phi_matrix(specA), phi_matrix(specD)
+        P = build_pencil_L1(R, *args)
+        Pt = build_L1_tilde(R, specA, specD, *args)
+        Pm = tilde_to_monomial(Pt, specA, specD)
+        for got, source, T in (
+                (Pt, P, _dense_transform(np.linalg.inv(Phi), np.linalg.inv(Psi), n, r)),
+                (Pm, Pt, _dense_transform(Phi, Psi, n, r))):
+            for G, S in ((got.X, source.X), (got.Y, source.Y)):
+                ref = S @ T
+                assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_round_trip_and_spectrum_preservation():

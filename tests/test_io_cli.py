@@ -105,6 +105,19 @@ def test_cli_build_and_verify_c1(tmp_path, capsys):
     assert report["max_eig_error"] <= 1e-8
 
 
+def test_cli_verify_ignores_a_stale_stored_pair(tmp_path, capsys):
+    # X and Y are a valid C1; the file's "w" is not its pair
+    R = random_realization(np.random.default_rng(7), 3, 4, 2, 3)
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, R)
+    assert main(["build", "--input", str(prob), "--output", str(pen), "--source", "c1"]) == 0
+    data = json.loads(pen.read_text())
+    data["w"] = encode_vector([3.0, 0.0])
+    pen.write_text(json.dumps(data))
+    assert main(["verify", "--pencil", str(pen), "--input", str(prob)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
 def test_cli_dl_equals_c1_for_scalar(tmp_path):
     prob = tmp_path / "r1.json"
     _write_problem(prob, _r1())

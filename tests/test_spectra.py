@@ -617,6 +617,22 @@ def test_verify_c1_r1(r1):
     assert report.full_z_rank == (True, True)
 
 
+@pytest.mark.parametrize("source", ["c1", "c2", "dl", "l1s", "l1g", "l2g"])
+def test_verify_reads_the_ansatz_pair_from_x_and_y(source):
+    # a stale stored pair changes nothing: the residual and the Z-rank read the
+    # pair that membership recovers from X and Y
+    from dataclasses import replace
+
+    rng = np.random.default_rng(7)
+    R = random_realization(rng, 3, 4, 2, 3)
+    builders = {"c1": build_C1, "c2": build_C2, "dl": build_DL}
+    P = builders[source](R) if source in builders else sample_space(R, 3, source)
+    report = verify_linearization(P, R)
+    assert report.passed
+    stale = replace(P, v=cgauss(rng, 3), w=np.array([3.0, 0.0]))
+    assert verify_linearization(stale, R).to_dict() == report.to_dict()
+
+
 def test_verify_dl_with_zero_leading_coefficient_fails():
     rng = np.random.default_rng(2)
     R = random_realization(rng, 2, 2, 2, 1)
