@@ -37,7 +37,6 @@ __all__ = [
     "transpose_realization",
     "is_symmetric_realization",
     "is_hermitian_realization",
-    "realization_scale",
 ]
 
 #: Relative threshold below which A(lambda) counts as singular (pole test).
@@ -197,6 +196,8 @@ class Realization:
     both degrees are structural.  Regularity is not enforced here;
     :func:`syspencils.spectra.system_zeros` raises SingularSystem when the
     eigensolver's regularity test finds the system matrix S(lambda) singular.
+    Kept read-only from first use: the scale, the transpose, and the reference zeros,
+    sample points and transfer data of ``verify`` (a computation that raises keeps nothing).
     """
 
     A: MatrixPolynomial
@@ -231,6 +232,34 @@ class Realization:
     def _transpose(self) -> "Realization":
         """:func:`transpose_realization` of this realization, built at first use."""
         return Realization(A=self.A.transpose(), B=-self.C.T, C=-self.B.T, D=self.D.transpose())
+
+    @cached_property
+    def _zeros(self) -> np.ndarray:
+        """:func:`syspencils.spectra.system_zeros`: the companion pencil it describes, solved."""
+        from .spectra import solve_pencil
+        S = build_system_matrix(self).coeffs
+        n, d = S[0].shape[0], len(S) - 1
+        X = self.scale * np.eye(n * d, dtype=complex)
+        X[:n, :n] = S[d]
+        Y = np.zeros_like(X)
+        Y[:n] = np.hstack(S[d - 1::-1])
+        Y[n:, :-n] = -self.scale * np.eye(n * (d - 1))
+        return _freeze(solve_pencil(X, Y, left=False, right=False).eigenvalues)
+
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        from .spectra import nonpole_samples
+        return _freeze(nonpole_samples(self, 10))
+
+    @cached_property
+    def _transfer(self) -> tuple:
+        from .spaces import _transfer_data
+        return tuple(map(_freeze, _transfer_data(self, self._samples)))
+
+    @cached_property
+    def _transfer_dual(self) -> tuple:
+        from .spaces import _transfer_data
+        return tuple(map(_freeze, _transfer_data(self._transpose, self._samples)))
 
     @property
     def n(self) -> int:
@@ -372,11 +401,6 @@ def transpose_realization(R: Realization) -> Realization:
     return R._transpose
 
 
-def realization_scale(R: Realization) -> float:
-    """``R.scale``, the data's own scale: every floor and tolerance on the data reads it."""
-    return R.scale
-
-
 def _is_structured(R: Realization, conj: bool) -> bool:
     """(Conjugate) symmetry of R in max norm, to ``1e-10`` times the data's scale."""
     op = (lambda M: M.conj().T) if conj else (lambda M: M.T)
@@ -385,10 +409,10 @@ def _is_structured(R: Realization, conj: bool) -> bool:
 
 
 def is_symmetric_realization(R: Realization) -> bool:
-    """True when all A_i, D_i are symmetric and C^T = B, to ``1e-10 realization_scale(R)``."""
+    """True when all A_i, D_i are symmetric and C^T = B, to ``1e-10 R.scale``."""
     return _is_structured(R, conj=False)
 
 
 def is_hermitian_realization(R: Realization) -> bool:
-    """True when all A_i, D_i are Hermitian and C* = B, to ``1e-10 realization_scale(R)``."""
+    """True when all A_i, D_i are Hermitian and C* = B, to ``1e-10 R.scale``."""
     return _is_structured(R, conj=True)

@@ -296,6 +296,7 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
     Second-space membership is tested on the transposed pencil against the
     sign-normalized transpose realization and returns the left pair (s, z).
     The double-ansatz tag tests both halves and returns the first-space pair.
+    The symmetric (Hermitian) tags also require X and Y symmetric (Hermitian).
     """
     if space not in SPACES:
         raise DimensionError(f"unknown space tag {space!r}")
@@ -331,6 +332,9 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
         raise NotAMember(
             f"shifted-sum residual {residual:.3e} exceeds tolerance {atol:.3e}"
         )
+    conj = {SPACE_SYM: np.asarray, SPACE_HERM: np.conj}.get(space)
+    if conj and not (asym := max_entry(X - conj(X.T), Y - conj(Y.T))) <= atol:
+        raise NotAMember(f"{space} structure deviation {asym:.3e} exceeds tolerance {atol:.3e}")
     if space == SPACE_DL:
         membership(X, Y, R, SPACE_L2G)
     return v, w
@@ -397,18 +401,12 @@ def _residual_l1s(P: AnsatzPencil, R: Realization, lams: np.ndarray) -> float:
     return _max_deviation(P.X, P.Y, lams, M, target)
 
 
-def _transfer_residual(X, Y, R: Realization, w, lams) -> float:
-    """``max|(lam X + Y)[Lambda_m kron A^{-1}B ; Lambda_k kron I_r] - [0 ; w kron G]|``
-    over the points ``lams``; one stacked guarded solve gives every A(lam)^{-1} B and
-    G(lam).  No points give 0.
-    """
-    if lams.size == 0:
-        return 0.0
+def _transfer_data(R: Realization, lams: np.ndarray):
+    """The lift ``[Lambda_m kron A^{-1}B ; Lambda_k kron I_r]`` and G at ``lams``, one solve."""
     F = solve_state(R, lams, R.B)
     G = R.C @ F + eval_polymat(R.D, lams[:, None, None])
-    M = np.concatenate([_kron_col(lambda_vector(R.m, lams), F),
-                        _kron_col(lambda_vector(R.k, lams), np.eye(R.r))], axis=1)
-    return _max_deviation(X, Y, lams, M, _kron_col(w, G))
+    return np.concatenate([_kron_col(lambda_vector(R.m, lams), F),
+                           _kron_col(lambda_vector(R.k, lams), np.eye(R.r))], axis=1), G
 
 
 def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
@@ -425,9 +423,13 @@ def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
     lams = np.asarray(lam_samples, dtype=complex).reshape(-1)
     if P.space == SPACE_L1S:
         return _residual_l1s(P, R, lams)
+    if lams.size == 0:
+        return 0.0
+    kept = lam_samples is vars(R).get("_samples")  # verify's points: R keeps M, G there
     sides = []
     if P.space != SPACE_L2G:
-        sides.append((P.X, P.Y, R))
+        sides.append((P.X, P.Y, R._transfer if kept else _transfer_data(R, lams)))
     if P.space in (SPACE_L2G, SPACE_DL):
-        sides.append((P.X.T, P.Y.T, transpose_realization(R)))
-    return max((_transfer_residual(X, Y, Rs, P.w, lams) for X, Y, Rs in sides), default=0.0)
+        sides.append((P.X.T, P.Y.T, R._transfer_dual if kept else
+                      _transfer_data(transpose_realization(R), lams)))
+    return max(_max_deviation(X, Y, lams, M, _kron_col(P.w, G)) for X, Y, (M, G) in sides)

@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     BlockDims,
     Realization,
-    build_system_matrix,
     eval_polymat,
     lambda_vector,
     max_entry,
@@ -81,20 +80,14 @@ def system_zeros(R: Realization) -> np.ndarray:
     They are the finite eigenvalues of the block companion pencil
     ``lambda X + Y`` of ``S(lambda) = sum_j lambda^j S_j`` of degree d, with
     ``X = diag(S_d, sI, ..., sI)``, first block row ``[S_{d-1}, ..., S_0]`` of ``Y``
-    and ``-sI`` on its block subdiagonal; s is the data's scale (``realization_scale``):
+    and ``-sI`` on its block subdiagonal; s is the data's scale (``Realization.scale``):
     a left factor ``diag(I, sI, ..., sI)`` that leaves the eigenvalues alone and the
     reference the same at every scale.  Pencil and reference share one eigensolver,
     one finiteness rule and one regularity test: SingularSystem when its shift search
-    finds S(lambda) singular.
+    finds S(lambda) singular.  The zeros are computed once per realization and kept
+    on it as a read-only array; SingularSystem keeps nothing and is raised on every call.
     """
-    S = build_system_matrix(R).coeffs
-    n, d = S[0].shape[0], len(S) - 1
-    X = R.scale * np.eye(n * d, dtype=complex)
-    X[:n, :n] = S[d]
-    Y = np.zeros_like(X)
-    Y[:n] = np.hstack(S[d - 1::-1])
-    Y[n:, :-n] = -R.scale * np.eye(n * (d - 1))
-    return solve_pencil(X, Y, left=False, right=False).eigenvalues
+    return R._zeros
 
 
 @dataclass(frozen=True)
@@ -353,7 +346,7 @@ class SpectralReport:
 
 def default_tol_res(P: AnsatzPencil, R: Realization) -> float:
     """Default ansatz-residual tolerance ``1e-10 (p + s)``, p the largest entry of the
-    pencil and s that of the data (``realization_scale``): both set the residual's rounding."""
+    pencil and s that of the data (``Realization.scale``): both set the residual's rounding."""
     return 1e-10 * (max_entry(P.X, P.Y) + R.scale)
 
 
@@ -370,6 +363,8 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     matching.  The verdict is pass exactly when (i) and (iii) hold.  First,
     :func:`membership` tests the pencil against its space; the ansatz pair it
     reads back from X and Y, not the one stored in P, drives (i) and (ii).
+    The reference zeros, sample points and transfer data there depend on R alone:
+    the first call for an R object computes them and keeps them on it, read-only.
     """
     tol_res = default_tol_res(P, R) if tol_res is None else tol_res
     zeros = system_zeros(R)
@@ -386,8 +381,7 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
         return fail(f"membership: {exc}")
     P = replace(P, v=v, w=w)  # the pair that X and Y carry, not a stored copy
 
-    samples = nonpole_samples(R, 10)
-    res = residual_ansatz(P, R, samples)
+    res = residual_ansatz(P, R, R._samples)
 
     try:
         cert = z_rank(P, R)

@@ -199,6 +199,28 @@ def test_dl_membership_tests_the_second_space_half():
         assert np.allclose(w, np.eye(k)[-1], atol=1e-12)
 
 
+def test_structured_tags_require_elementwise_structure():
+    # a first-space member of symmetric data with the structured pair (e_m, -e_k)
+    # but random free blocks: X and Y are neither symmetric nor Hermitian
+    from dataclasses import replace
+
+    R = random_symmetric_realization(np.random.default_rng(5), 2, 2, 2, 1)
+    rng = np.random.default_rng(6)
+    P = build_pencil_L1(R, np.eye(2)[1], -np.eye(2)[1], cgauss(rng, 4, 2), cgauss(rng, 2, 1))
+    membership(P.X, P.Y, R, SPACE_L1G)
+    for tag in ("sym", "herm"):
+        with pytest.raises(NotAMember, match="structure deviation"):
+            membership(P.X, P.Y, R, tag)
+        assert verify_linearization(replace(P, space=tag), R).reason.startswith(
+            "membership: ")
+    Rh = random_hermitian_realization(np.random.default_rng(7), 2, 2, 2, 1)
+    for Rs, tag, build in ((R, "sym", build_symmetric), (Rh, "herm", build_hermitian)):
+        S = build(Rs)
+        v, w = membership(S.X, S.Y, Rs, tag)
+        assert np.allclose(v, S.v, atol=1e-12) and np.allclose(w, S.w, atol=1e-12)
+        assert verify_linearization(S, Rs).passed
+
+
 def _dl_partition_reference(P, deg, blk):
     """X and Y of one diagonal partition of the double-ansatz pencil, by the
     defining block formulas: X(i, j) = P_{2d+1-i-j} for i + j >= d + 1;
@@ -463,8 +485,6 @@ def test_residual_ansatz_l1s(r1):
 def test_residual_l1s_equals_the_per_point_loop():
     # the stacked lifts and targets round like the per-point ones, up to the
     # order of the rounding in each product
-    from syspencils.core import realization_scale
-
     rng = np.random.default_rng(34)
     for dims in ((1, 1, 1, 1), (2, 3, 2, 2), (3, 2, 1, 2), (2, 4, 3, 1)):
         R = random_realization(rng, *dims)
@@ -472,7 +492,7 @@ def test_residual_l1s_equals_the_per_point_loop():
         bad = type(P)(X=P.X, Y=P.Y + 1e-6 * cgauss(rng, *P.Y.shape), dims=P.dims,
                       space=SPACE_L1S, v=P.v, w=P.w)
         lams = np.concatenate([nonpole_samples(R, 10, seed=35), [0.0, 1.5j]])
-        tol = 1e-14 * (1.0 + realization_scale(R))
+        tol = 1e-14 * (1.0 + R.scale)
         for Q in (P, bad):
             for points in (lams, lams[:1]):
                 expected = residual_l1s_per_point(Q, R, points)

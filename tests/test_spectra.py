@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,10 +35,12 @@ from syspencils import (
     lift_left,
     lift_right,
     match_multisets,
+    membership,
     nonpole_samples,
     pencil_eigvals,
     recover_left,
     recover_right,
+    residual_ansatz,
     sample_space,
     solve_pencil,
     system_zeros,
@@ -821,3 +824,87 @@ def test_oracle_equivalence_small_sweep():
             assert eigs.size == zeros.size
             _, worst = match_multisets(eigs, zeros)
             assert worst < 1e-6
+
+
+def _report_key(report):
+    """Every field of a report, arrays as raw bytes."""
+    return (report.to_dict(), report.pencil_eigs.tobytes(), report.oracle_roots.tobytes())
+
+
+def _same_data(R):
+    """An equal but distinct realization: nothing computed for R is kept on it."""
+    return Realization(A=MatrixPolynomial(R.A.coeffs), B=R.B, C=R.C,
+                       D=MatrixPolynomial(R.D.coeffs))
+
+
+def test_verify_computes_the_reference_once_per_realization(monkeypatch):
+    import syspencils.spaces as spaces
+    import syspencils.spectra as spectra
+
+    calls = {"eig": 0, "stacked": 0, "samples": 0}
+    eig, solve, samples = spectra.solve_pencil, spaces.solve_state, spectra.nonpole_samples
+
+    def counted_eig(X, Y, **kw):
+        calls["eig"] += 1
+        return eig(X, Y, **kw)
+
+    def counted_solve(R, lam, rhs):
+        calls["stacked"] += np.ndim(lam) == 1
+        return solve(R, lam, rhs)
+
+    def counted_samples(*args):
+        calls["samples"] += 1
+        return samples(*args)
+
+    monkeypatch.setattr(spectra, "solve_pencil", counted_eig)
+    monkeypatch.setattr(spaces, "solve_state", counted_solve)
+    monkeypatch.setattr(spectra, "nonpole_samples", counted_samples)
+    R0 = random_realization(np.random.default_rng(41), 2, 3, 2, 2)
+    for R in (R0, _same_data(R0)):
+        calls.update(eig=0, stacked=0, samples=0)
+        members = [build_C1(R), build_C2(R), build_DL(R),
+                   sample_space(R, seed=1, space="l1g"), sample_space(R, seed=2, space="l1g")]
+        for P in members:
+            assert verify_linearization(P, R).passed
+        # one eigensolve per pencil plus one for the reference, one stacked solve
+        # at the sample points per side (C1 and l1g right, C2 left, DL both)
+        assert calls == {"eig": len(members) + 1, "stacked": 2, "samples": 1}
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 3, 2), (3, 2, 2, 1)])
+def test_kept_reference_changes_no_report(dims):
+    rng = np.random.default_rng(43)
+    data = [(random_realization(rng, *dims), ("l1g", "l2g", "l1s", "dl")),
+            (random_symmetric_realization(rng, *dims), ("sym",)),
+            (random_hermitian_realization(rng, *dims), ("herm",))]
+    for R, spaces in data:
+        members = [sample_space(R, seed=s, space=sp) for s, sp in enumerate(spaces)
+                   if sp != "l1s" or R.r <= R.n]
+        if spaces[0] == "l1g":
+            members += [build_C1(R), build_C2(R), build_DL(R)]
+        for P in members:
+            verify_linearization(P, R)  # the first call for R computes what R keeps
+            warm = verify_linearization(P, R)
+            assert warm.passed, (dims, P.space)
+            assert _report_key(warm) == _report_key(verify_linearization(P, _same_data(R)))
+            # caller-given points equal to verify's compute afresh, to the same bits
+            v, w = membership(P.X, P.Y, R, P.space)  # the pair verify reads from X and Y
+            assert residual_ansatz(replace(P, v=v, w=w), R,
+                                   nonpole_samples(R, 10)) == warm.ansatz_residual
+        zeros = system_zeros(R)
+        assert system_zeros(R) is zeros and verify_linearization(members[0], R).oracle_roots is zeros
+        with pytest.raises(ValueError):
+            zeros[0] = 0.0
+
+
+def test_a_singular_reference_raises_on_every_call():
+    # S(lambda) is singular (D rank 1 at every lambda, B = C = 0): nothing is kept,
+    # so system_zeros and verify raise again on the next call for the same R
+    D = MatrixPolynomial((np.zeros((2, 2)), np.ones((2, 2))))
+    R = Realization(A=MatrixPolynomial.from_scalars(0, 1), B=np.zeros((1, 2)),
+                    C=np.zeros((2, 1)), D=D)
+    for _ in range(2):
+        with pytest.raises(SingularSystem):
+            system_zeros(R)
+        with pytest.raises(SingularSystem):
+            verify_linearization(build_C1(R), R)
