@@ -196,8 +196,9 @@ class Realization:
     both degrees are structural.  Regularity is not enforced here;
     :func:`syspencils.spectra.system_zeros` raises SingularSystem when the
     eigensolver's regularity test finds the system matrix S(lambda) singular.
-    Kept read-only from first use: the scale, the transpose, and the reference zeros,
-    sample points and transfer data of ``verify`` (a computation that raises keeps nothing).
+    Kept read-only from first use: the scale, the transpose, the coefficient rows of the
+    ansatz fit, and the reference zeros, sample points and transfer and ``l1s`` lift data
+    of ``verify`` (a computation that raises keeps nothing).
     """
 
     A: MatrixPolynomial
@@ -260,6 +261,16 @@ class Realization:
     def _transfer_dual(self) -> tuple:
         from .spaces import _transfer_data
         return tuple(map(_freeze, _transfer_data(self._transpose, self._samples)))
+
+    @cached_property
+    def _l1s_data(self) -> tuple:
+        from .spaces import _l1s_data
+        return tuple(map(_freeze, _l1s_data(self, self._samples)))
+
+    @cached_property
+    def _fit_rows(self) -> tuple:
+        from .spaces import _fit_row
+        return _fit_row(self.A), _fit_row(self.D)
 
     @property
     def n(self) -> int:

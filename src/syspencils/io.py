@@ -43,17 +43,18 @@ def encode_matrix(M) -> list:
 def decode_matrix(data, name: str = "matrix") -> np.ndarray:
     """Complex matrix from rows of ``[re, im]`` pairs, bit exact.
 
-    Raises ValueError naming ``name`` unless ``data`` is a non-empty,
-    rectangular nesting of number pairs, all finite.  The pairs are
-    flattened into one array conversion.
+    Raises ValueError naming ``name`` unless ``data`` is a non-empty, rectangular
+    nesting of number pairs, all finite (JSON ``true`` is no number, though Python's
+    bool is an int).  The pairs are flattened into one array conversion.
     """
     try:
         widths = {len(row) for row in data}
         pairs = list(chain.from_iterable(data))
-        flat = np.array(list(chain.from_iterable(pairs)))
+        entries = list(chain.from_iterable(pairs))
+        flat = np.array(entries)
         ok = (isinstance(data, list) and len(widths) == 1 and len(pairs) > 0
-              and set(map(len, pairs)) == {2} and flat.ndim == 1
-              and flat.dtype.kind in "biuf")
+              and set(map(len, pairs)) == {2} and flat.dtype.kind in "iuf"
+              and set(map(type, entries)) <= {int, float})
     except (TypeError, ValueError):  # a bare number where a list belongs
         ok = False
     if not ok:

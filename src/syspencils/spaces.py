@@ -272,14 +272,17 @@ def build_hermitian(R: Realization) -> AnsatzPencil:
     return _dl_member(R, SPACE_HERM, -1.0)
 
 
-def _fit_kron_rows(Z: np.ndarray, K: np.ndarray, count: int) -> np.ndarray:
-    """Least-squares ansatz entries: Z approx v kron K, one v entry per block row;
-    K is scaled to a largest modulus of 1 before it is squared."""
-    big = float(np.max(np.abs(K)))
+def _fit_row(P) -> tuple:
+    """``K = [P_d ... P_0]``, and K conjugated, flattened and divided by max|K| with the
+    normaliser of the fit Z ~ v kron K (one v entry per block row); read-only."""
+    big = P.scale
     if big == 0.0:
         raise DegenerateFit("all reference coefficients vanish; ansatz vector unidentifiable")
-    K = K.conj().ravel() / big
-    return Z.reshape(count, -1) @ K / (np.vdot(K, K).real * big)
+    K = _coeff_row(P)
+    Kc = K.conj().ravel() / big
+    for a in (K, Kc):
+        a.setflags(write=False)
+    return K, Kc, np.vdot(Kc, Kc).real * big
 
 
 def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray, np.ndarray]:
@@ -316,10 +319,9 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
 
     Z = block_shift_sum(X, Y, dims)
     ct = (m + 1) * n
-    K_A = _coeff_row(R.A)
-    K_D = _coeff_row(R.D)
-    v = _fit_kron_rows(Z[:t, :ct], K_A, m)
-    w = _fit_kron_rows(Z[t:, ct:], K_D, k)
+    (K_A, fit_A, norm_A), (K_D, fit_D, norm_D) = R._fit_rows
+    v = Z[:t, :ct].reshape(m, -1) @ fit_A / norm_A
+    w = Z[t:, ct:].reshape(k, -1) @ fit_D / norm_D
 
     pattern = np.zeros_like(Z)
     pattern[:t, :ct] = _kron_col(v, K_A)
@@ -383,22 +385,18 @@ def sample_space(R: Realization, seed: int, space: str = SPACE_L1G) -> AnsatzPen
 def _max_deviation(X, Y, lams, M, target) -> float:
     """``max|(lam X + Y) M_i - target_i|`` over the points, target_i standing for the
     trailing rows (zero above); lam X + Y comes first, as lam X M_i and Y M_i can cancel."""
-    out = np.stack([(lam * X + Y) @ Mi for lam, Mi in zip(lams, M)])
+    out = (lams[:, None, None] * X + Y) @ M
     out[:, -target.shape[1]:] -= target
     return float(np.abs(out).max())
 
 
-def _residual_l1s(P: AnsatzPencil, R: Realization, lams: np.ndarray) -> float:
-    """``max|(lam X + Y)[Lambda_m kron I_n ; Lambda_k kron I_rn] - [v kron (A - B I_rn) ;
-    w kron (C + D I_rn)]|`` over the points ``lams`` (0 for none)."""
-    if lams.size == 0:
-        return 0.0
+def _l1s_data(R: Realization, lams: np.ndarray):
+    """The lift ``[Lambda_m kron I_n ; Lambda_k kron I_rn]``, ``A - B I_rn`` and
+    ``C + D I_rn`` at ``lams``: what the system-matrix identity reads of R."""
     Irn, at = padded_identity(R.r, R.n), lams[:, None, None]
-    M = np.concatenate([_kron_col(lambda_vector(R.m, lams), np.eye(R.n)),
-                        _kron_col(lambda_vector(R.k, lams), Irn)], axis=1)
-    target = np.concatenate([_kron_col(P.v, eval_polymat(R.A, at) - R.B @ Irn),
-                             _kron_col(P.w, R.C + eval_polymat(R.D, at) @ Irn)], axis=1)
-    return _max_deviation(P.X, P.Y, lams, M, target)
+    return (np.concatenate([_kron_col(lambda_vector(R.m, lams), np.eye(R.n)),
+                            _kron_col(lambda_vector(R.k, lams), Irn)], axis=1),
+            eval_polymat(R.A, at) - R.B @ Irn, R.C + eval_polymat(R.D, at) @ Irn)
 
 
 def _transfer_data(R: Realization, lams: np.ndarray):
@@ -421,11 +419,13 @@ def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
     identities.  Pole errors from sample points propagate to the caller.
     """
     lams = np.asarray(lam_samples, dtype=complex).reshape(-1)
-    if P.space == SPACE_L1S:
-        return _residual_l1s(P, R, lams)
     if lams.size == 0:
         return 0.0
-    kept = lam_samples is vars(R).get("_samples")  # verify's points: R keeps M, G there
+    kept = lam_samples is vars(R).get("_samples")  # verify's points: R keeps its data there
+    if P.space == SPACE_L1S:
+        M, TA, TD = R._l1s_data if kept else _l1s_data(R, lams)
+        target = np.concatenate([_kron_col(P.v, TA), _kron_col(P.w, TD)], axis=1)
+        return _max_deviation(P.X, P.Y, lams, M, target)
     sides = []
     if P.space != SPACE_L2G:
         sides.append((P.X, P.Y, R._transfer if kept else _transfer_data(R, lams)))

@@ -218,19 +218,29 @@ def match_multisets(a, b) -> tuple[list[tuple[int, int, float]], float]:
     the nearest unused entry of ``b`` under the scale-aware distance
     ``|a - b| / max(1, |a|, |b|)``.  This is not an optimal assignment;
     the verdict reads the largest distance among these greedy pairs.
+    Rows keep their nearest entry, found in one pass, up to the first entry that
+    repeats (no earlier row took it); only from there does the masked loop run.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.size != b.size:
         raise DimensionError("multisets differ in size")
+    if a.size == 0:
+        return [], 0.0
     abs_a, abs_b = np.abs(a), np.abs(b)
     dist = np.abs(a[:, None] - b) / np.maximum(np.maximum(abs_a[:, None], abs_b), 1.0)
-    pairs = []
-    for i in np.argsort(-abs_a, kind="stable"):
-        j = int(np.argmin(dist[i]))
-        pairs.append((int(i), j, float(dist[i, j])))
-        dist[:, j] = np.inf
-    return pairs, max((d for _, _, d in pairs), default=0.0)
+    order = np.argsort(-abs_a, kind="stable")
+    near = dist.argmin(axis=1)[order]
+    cols, n = near.tolist(), a.size
+    p = n if len(set(cols)) == n else next(q for q, j in enumerate(cols) if j in cols[:q])
+    pairs = list(zip(order.tolist(), cols, dist[order, near].tolist()))[:p]
+    if p < n:
+        dist[:, cols[:p]] = np.inf
+        for i in order[p:]:
+            j = int(np.argmin(dist[i]))
+            pairs.append((int(i), j, float(dist[i, j])))
+            dist[:, j] = np.inf
+    return pairs, max(d for _, _, d in pairs)
 
 
 @dataclass(frozen=True)
@@ -253,9 +263,10 @@ def _unit_mapping(v: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise ZeroAnsatz("ansatz vector is zero")
     a = v[0] / abs(v[0]) if v[0] else 1.0
-    u = v + np.eye(v.size)[0] * (a * norm)
+    u = np.concatenate(([v[0] + a * norm], v[1:]))
     u /= _norm(u)
-    M = np.eye(v.size, dtype=complex) - 2.0 * np.outer(u, u.conj())
+    M = u[:, None] * (-2.0 * u.conj())
+    M.flat[::v.size + 1] += 1.0
     M[0] /= -a * norm
     return M
 
@@ -363,8 +374,8 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     matching.  The verdict is pass exactly when (i) and (iii) hold.  First,
     :func:`membership` tests the pencil against its space; the ansatz pair it
     reads back from X and Y, not the one stored in P, drives (i) and (ii).
-    The reference zeros, sample points and transfer data there depend on R alone:
-    the first call for an R object computes them and keeps them on it, read-only.
+    The reference zeros, sample points, their transfer and lift data and the fit rows
+    depend on R alone: the first call for an R object computes and keeps them, read-only.
     """
     tol_res = default_tol_res(P, R) if tol_res is None else tol_res
     zeros = system_zeros(R)
@@ -379,7 +390,9 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
         v, w = membership(P.X, P.Y, R, P.space)
     except NotAMember as exc:
         return fail(f"membership: {exc}")
-    P = replace(P, v=v, w=w)  # the pair that X and Y carry, not a stored copy
+    # X and Y carry the pair; P checked them when it was made, and a member's pair is finite
+    P, Q = object.__new__(AnsatzPencil), P
+    vars(P).update(vars(Q), v=v, w=w)
 
     res = residual_ansatz(P, R, R._samples)
 

@@ -6,7 +6,8 @@ constraint matrix, never from the closed formula under test, and the
 zeros of det P come from its scalar interpolant, never from a pencil;
 reference pencil eigenvalues come from scipy's QZ, never from the
 package's shift-and-invert path.  The per-point loops below are the
-references of the stacked sampler and l1s residual.
+references of the stacked sampler and l1s residual, and the row-by-row
+greedy loop that of the matching.
 """
 
 import numpy as np
@@ -143,3 +144,17 @@ def residual_l1s_per_point(P, R: Realization, lams) -> float:
                             np.kron(P.w[:, None], R.C + eval_polymat(R.D, lam) @ Irn)])
         worst = max(worst, float(np.max(np.abs(P(lam) @ M - target))))
     return worst
+
+
+def greedy_match(a, b):
+    """Greedy matching one row at a time: entries of ``a`` in decreasing magnitude,
+    each paired with the nearest unused entry of ``b`` under ``|a - b| / max(1, |a|, |b|)``."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    dist = np.abs(a[:, None] - b) / np.maximum(np.maximum(abs_a[:, None], abs_b), 1.0)
+    pairs = []
+    for i in np.argsort(-abs_a, kind="stable"):
+        j = int(np.argmin(dist[i]))
+        pairs.append((int(i), j, float(dist[i, j])))
+        dist[:, j] = np.inf
+    return pairs, max((d for _, _, d in pairs), default=0.0)

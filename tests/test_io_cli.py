@@ -340,9 +340,24 @@ def test_cli_bare_number_for_pair_is_input_error(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("value", [[True, False], [1.0, True]])
+def test_cli_boolean_matrix_entry_is_input_error(tmp_path, value):
+    # JSON true is no number, though Python's bool is an int: it must not decode as 1
+    obj = problem_to_dict(_r1())
+    obj["realization"]["B"][0][0] = value
+    prob = tmp_path / "bool.json"
+    prob.write_text(json.dumps(obj))
+    done = _run_cli("build", "--input", str(prob), "--output", str(tmp_path / "x.json"))
+    assert done.returncode == 2
+    assert "realization.B" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("field, value", [
     ("X", [float("inf"), 0.0]),
     ("Y", 2.5),
+    ("X", [True, True]),
+    ("Y", [0.5, False]),
 ])
 def test_cli_bad_pencil_entry_is_input_error(tmp_path, capsys, field, value):
     prob = tmp_path / "r1.json"

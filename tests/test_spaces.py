@@ -500,6 +500,42 @@ def test_residual_l1s_equals_the_per_point_loop():
     assert residual_ansatz(P, R, []) == 0.0
 
 
+def _deviation_per_point(X, Y, lams, M, target):
+    out = np.stack([(lam * X + Y) @ Mi for lam, Mi in zip(lams, M)])
+    out[:, -target.shape[1]:] -= target
+    return float(np.abs(out).max())
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 3, 2, 2), (3, 2, 1, 2)])
+def test_stacked_deviation_equals_the_per_point_loop(dims):
+    # one broadcast (lam X + Y) @ M for all points runs the products of the loop
+    from syspencils.spaces import _kron_col, _l1s_data, _max_deviation, _transfer_data
+
+    rng = np.random.default_rng(36)
+    R = random_realization(rng, *dims)
+    members = [build_C1(R), build_C2(R), build_DL(R)] + [
+        _random_member(rng, R, space)[0] for space in (SPACE_L1G, SPACE_L2G, SPACE_L1S)]
+    verify_linearization(members[0], R)  # R keeps its sample points and their data
+    given = np.concatenate([nonpole_samples(R, 10, seed=35), [0.0, 1.5j]])
+    for points in (R._samples, given):
+        for P in members:
+            if P.space == SPACE_L1S:
+                M, TA, TD = _l1s_data(R, points)
+                sides = [(P.X, P.Y, M, np.concatenate([_kron_col(P.v, TA),
+                                                       _kron_col(P.w, TD)], axis=1))]
+            else:
+                halves = []
+                if P.space != SPACE_L2G:
+                    halves.append((P.X, P.Y, R))
+                if P.space in (SPACE_L2G, SPACE_DL):
+                    halves.append((P.X.T, P.Y.T, transpose_realization(R)))
+                sides = [(X, Y, M, _kron_col(P.w, G)) for X, Y, Rs in halves
+                         for M, G in [_transfer_data(Rs, points)]]
+            loops = [_deviation_per_point(X, Y, points, M, T) for X, Y, M, T in sides]
+            assert [_max_deviation(X, Y, points, M, T) for X, Y, M, T in sides] == loops
+            assert residual_ansatz(P, R, points) == max(loops), P.space
+
+
 def test_l1s_matrix_case_identity():
     # padded-identity variant on a genuinely rectangular partition (n > r)
     rng = np.random.default_rng(30)

@@ -11,7 +11,13 @@ from conftest import (
     random_symmetric_realization,
     scaled_realization,
 )
-from oracles import det_roots, det_scalar_poly, nonpole_samples_per_point, qz_eigvals
+from oracles import (
+    det_roots,
+    det_scalar_poly,
+    greedy_match,
+    nonpole_samples_per_point,
+    qz_eigvals,
+)
 
 from syspencils import (
     AnsatzPencil,
@@ -377,6 +383,23 @@ def test_match_multisets():
         np.testing.assert_allclose([p[2] for p in pairs], [e[2] for e in expected],
                                    rtol=4 * np.finfo(float).eps, atol=0)
         assert worst == max((p[2] for p in pairs), default=0.0)
+
+
+def test_match_multisets_equals_the_greedy_loop():
+    # nearest columns taken in one pass up to the first repeat, the loop after it:
+    # the same pairs, order and distances as the loop over every row
+    rng = np.random.default_rng(44)
+    cases = [([], []), ([1.0, 1.0], [1.0, 1.0])]  # the second repeats at once
+    for n in (1, 2, 5, 12, 40):
+        spread = cgauss(rng, n) * 10.0 ** rng.uniform(-2, 3, n)
+        duplicates = np.where(np.arange(n) < n // 2, spread[0], spread)
+        ties = rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)  # equal distances
+        cluster = 1.0 + 1e-9 * cgauss(rng, n)
+        for a in (spread, duplicates, ties, cluster):
+            cases += [(a, rng.permutation(a)), (a, cgauss(rng, n)),
+                      (a, rng.permutation(a) * (1.0 + 1e-10 * cgauss(rng, n)))]
+    for a, b in cases:
+        assert match_multisets(a, b) == greedy_match(a, b)
 
 
 def test_z_rank_companion(r2):
@@ -841,8 +864,9 @@ def test_verify_computes_the_reference_once_per_realization(monkeypatch):
     import syspencils.spaces as spaces
     import syspencils.spectra as spectra
 
-    calls = {"eig": 0, "stacked": 0, "samples": 0}
+    calls = {"eig": 0, "stacked": 0, "samples": 0, "l1s": 0, "fit": 0}
     eig, solve, samples = spectra.solve_pencil, spaces.solve_state, spectra.nonpole_samples
+    l1s, fit = spaces._l1s_data, spaces._fit_row
 
     def counted_eig(X, Y, **kw):
         calls["eig"] += 1
@@ -856,19 +880,36 @@ def test_verify_computes_the_reference_once_per_realization(monkeypatch):
         calls["samples"] += 1
         return samples(*args)
 
+    def counted_l1s(*args):
+        calls["l1s"] += 1
+        return l1s(*args)
+
+    def counted_fit(P):
+        calls["fit"] += 1
+        return fit(P)
+
     monkeypatch.setattr(spectra, "solve_pencil", counted_eig)
     monkeypatch.setattr(spaces, "solve_state", counted_solve)
     monkeypatch.setattr(spectra, "nonpole_samples", counted_samples)
+    monkeypatch.setattr(spaces, "_l1s_data", counted_l1s)
+    monkeypatch.setattr(spaces, "_fit_row", counted_fit)
     R0 = random_realization(np.random.default_rng(41), 2, 3, 2, 2)
     for R in (R0, _same_data(R0)):
-        calls.update(eig=0, stacked=0, samples=0)
+        calls.update(eig=0, stacked=0, samples=0, l1s=0, fit=0)
         members = [build_C1(R), build_C2(R), build_DL(R),
-                   sample_space(R, seed=1, space="l1g"), sample_space(R, seed=2, space="l1g")]
+                   sample_space(R, seed=1, space="l1g"), sample_space(R, seed=2, space="l1g"),
+                   sample_space(R, seed=3, space="l1s"), sample_space(R, seed=4, space="l1s")]
         for P in members:
             assert verify_linearization(P, R).passed
         # one eigensolve per pencil plus one for the reference, one stacked solve
-        # at the sample points per side (C1 and l1g right, C2 left, DL both)
-        assert calls == {"eig": len(members) + 1, "stacked": 2, "samples": 1}
+        # at the sample points per side (C1 and l1g right, C2 left, DL both; l1s
+        # needs none), one l1s lift, and the fit rows of A and D of R and of its
+        # transpose
+        assert calls == {"eig": len(members) + 1, "stacked": 2, "samples": 1, "l1s": 1,
+                         "fit": 4}
+        kept = (R._l1s_data + R._transfer + R._transfer_dual
+                + R._fit_rows[0][:2] + R._fit_rows[1][:2])
+        assert not any(a.flags.writeable for a in kept)
 
 
 @pytest.mark.parametrize("dims", [(2, 1, 3, 2), (3, 2, 2, 1)])
