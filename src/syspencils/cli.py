@@ -19,11 +19,11 @@ from .errors import PencilError
 from .io import (
     decode_matrix,
     decode_vector,
+    encode_float,
     encode_vector,
     load_pencil,
     load_problem,
-    pencil_to_dict,
-    save_json,
+    save_pencil,
 )
 from .spectra import (
     default_tol_res,
@@ -47,7 +47,7 @@ _EXPLICIT_SPACES = (spaces.SPACE_L1S, spaces.SPACE_L1G, spaces.SPACE_L2G)
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj) + "\n")
+    sys.stdout.write(json.dumps(obj, allow_nan=False) + "\n")  # strict JSON (RFC 8259)
 
 
 def _build_explicit(R, space, options):
@@ -127,7 +127,7 @@ def cmd_build(args) -> int:
         from .basis import _change_basis
 
         P = _change_basis(P, *specs, to_monomial=False)
-    save_json(args.output, pencil_to_dict(P))
+    save_pencil(args.output, P)
     return EXIT_PASS
 
 
@@ -168,7 +168,7 @@ def cmd_solve(args) -> int:
         try:
             rec = recover(vecs[:, i], P.dims, R, lam)
             out["eigenvectors"].append(encode_vector(rec.x))
-            out["residuals"].append(rec.transfer_residual)
+            out["residuals"].append(encode_float(rec.transfer_residual))
         except PencilError:
             out["eigenvectors"].append(None)
             out["residuals"].append(None)
@@ -183,7 +183,7 @@ def cmd_sample(args) -> int:
     for i in range(args.count):
         P = spaces.sample_space(R, seed=args.seed + i, space=args.space)
         if args.output:
-            save_json(f"{args.output}_{i:03d}.json", pencil_to_dict(P))
+            save_pencil(f"{args.output}_{i:03d}.json", P)
         passes.append(verify_linearization(P, R).passed)
     summary = {
         "count": args.count,

@@ -8,7 +8,9 @@ neutral.  Both file kinds carry a ``"format": 1`` version field.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "pencil_from_dict",
     "load_pencil",
     "save_json",
+    "save_pencil",
 ]
 
 FORMAT_VERSION = 1
@@ -62,6 +65,11 @@ def decode_matrix(data, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"{name}: entries must be finite numbers")
     return flat.astype(float).view(complex).reshape(len(data), -1)
+
+
+def encode_float(x) -> float | None:
+    """``x`` as a JSON number, or None (``null``) when it is not finite."""
+    return float(x) if np.isfinite(x) else None
 
 
 def encode_vector(v) -> list:
@@ -163,13 +171,28 @@ def pencil_from_dict(obj: dict) -> AnsatzPencil:
         raise ValueError(f"pencil file misses field {exc}") from exc
 
 
+@contextmanager
+def _json_tree(what: str):
+    """Build or walk a JSON tree of ``what`` with the cyclic garbage collector paused (the
+    tree is acyclic and freed by reference counting), then restore the collector's state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    except RecursionError as exc:  # the C decoder recurses once per nesting level
+        raise ValueError(f"{what} is nested too deeply for JSON") from exc
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_problem(path) -> tuple[Realization, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_dict(json.load(fh))
+    with open(path, "r", encoding="utf-8") as fh, _json_tree("problem file"):
+        return problem_from_dict(json.load(fh))  # the tree is freed before the pause ends
 
 
 def load_pencil(path) -> AnsatzPencil:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _json_tree("pencil file"):
         return pencil_from_dict(json.load(fh))
 
 
@@ -178,9 +201,18 @@ def save_json(path, obj: dict):
 
     Top-level fields are encoded and written one at a time, so no string
     of the whole document is held; the bytes equal ``json.dumps(obj)``.
+    Values are trees, as this module's encoders build them: with no circular
+    reference check, a cycle raises RecursionError.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(obj.items()):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: {json.dumps(value)}")
+            value = json.dumps(value, check_circular=False)
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: {value}")
         fh.write("}\n")
+
+
+def save_pencil(path, P: AnsatzPencil):
+    """Write ``P`` as a pencil file, the bytes of ``save_json(path, pencil_to_dict(P))``."""
+    with _json_tree("pencil file"):
+        save_json(path, pencil_to_dict(P))

@@ -38,7 +38,7 @@ from .errors import (
     SolverFailure,
     ZeroAnsatz,
 )
-from .io import encode_vector
+from .io import encode_float, encode_vector
 from .spaces import (
     SPACE_L2G,
     AnsatzPencil,
@@ -347,10 +347,10 @@ class SpectralReport:
             "reason": self.reason,
             "pencil_eigs": encode_vector(self.pencil_eigs),
             "oracle_roots": encode_vector(self.oracle_roots),
-            "matching": [[int(i), int(j), float(d)] for (i, j, d) in self.matching],
-            "max_eig_error": float(self.max_eig_error),
-            "eig_residuals": [float(x) for x in self.eig_residuals],
-            "ansatz_residual": float(self.ansatz_residual),
+            "matching": [[int(i), int(j), encode_float(d)] for (i, j, d) in self.matching],
+            "max_eig_error": encode_float(self.max_eig_error),
+            "eig_residuals": [encode_float(x) for x in self.eig_residuals],
+            "ansatz_residual": encode_float(self.ansatz_residual),
             "full_z_rank": [bool(self.full_z_rank[0]), bool(self.full_z_rank[1])],
         }
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -20,6 +21,13 @@ from syspencils import (
     MatrixPolynomial,
     Realization,
     build_C1,
+    build_C2,
+    build_DL,
+    build_hermitian,
+    build_L1_tilde,
+    build_pencil_L1,
+    build_pencil_L2,
+    build_symmetric,
     nonpole_samples,
     residual_ansatz,
     solve_pencil,
@@ -38,6 +46,7 @@ from syspencils.io import (
     problem_from_dict,
     problem_to_dict,
     save_json,
+    save_pencil,
 )
 
 
@@ -372,14 +381,18 @@ def test_cli_bad_pencil_entry_is_input_error(tmp_path, capsys, field, value):
     assert f"{field}:" in err
 
 
-def test_save_json_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(8)
-    R = random_realization(rng, 2, 3, 2, 2)
-    # signed zeros, subnormals and extreme exponents survive the file
+def _special_float_realization():
+    """Random (2, 3, 2, 2) data whose B holds signed zeros, subnormals and extreme exponents."""
+    R = random_realization(np.random.default_rng(8), 2, 3, 2, 2)
     B = R.B.copy()
     B[0, 0] = complex(-0.0, 5e-324)
     B[1, 0] = complex(1.7976931348623157e308, -2.2250738585072014e-308)
-    R = Realization(A=R.A, B=B, C=R.C, D=R.D)
+    return Realization(A=R.A, B=B, C=R.C, D=R.D)
+
+
+def test_save_json_round_trip_bit_exact(tmp_path):
+    # signed zeros, subnormals and extreme exponents survive the file
+    R = _special_float_realization()
     prob = tmp_path / "p.json"
     _write_problem(prob, R)
     R2, _ = load_problem(prob)
@@ -707,3 +720,123 @@ def test_cli_verify_and_solve_stdout_write_pairs(tmp_path, capsys, source, dims,
     left = P.space == "l2g"
     eigs = solve_pencil(P.X, P.Y, left=left, right=not left).eigenvalues
     assert out == json.dumps({**json.loads(out), "eigenvalues": _pairs(eigs)}) + "\n"
+
+
+def _pencil_for_file(case):
+    rng = np.random.default_rng(31)
+    dims = (2, 3, 2, 2)
+    if case in ("sym", "herm"):
+        make = random_symmetric_realization if case == "sym" else random_hermitian_realization
+        return (build_symmetric if case == "sym" else build_hermitian)(make(rng, *dims))
+    if case == "special":
+        return build_C1(_special_float_realization())
+    R = random_realization(rng, *dims)
+    if case in ("c1", "c2", "dl"):
+        return {"c1": build_C1, "c2": build_C2, "dl": build_DL}[case](R)
+    v, w, W, W1 = cgauss(rng, 2), cgauss(rng, 2), cgauss(rng, 6, 3), cgauss(rng, 4, 2)
+    if case == "chebyshev":
+        return build_L1_tilde(R, BasisSpec("chebyshev_T", 2), BasisSpec("chebyshev_T", 2),
+                              v, w, W, W1)
+    if case == "l2g":
+        return build_pencil_L2(R, v, w, W, W1)
+    return build_pencil_L1(R, v, w, W, W1, space=case)
+
+
+@pytest.mark.parametrize("case", ["c1", "c2", "dl", "sym", "herm", "l1g", "l2g", "l1s",
+                                  "chebyshev", "special"])
+def test_save_pencil_writes_the_bytes_of_json_dumps(tmp_path, case):
+    P = _pencil_for_file(case)
+    assert P.space == {"c1": "l1g", "c2": "l2g", "chebyshev": "l1g",
+                       "special": "l1g"}.get(case, case)
+    via_save_json, via_save_pencil = tmp_path / "a.json", tmp_path / "b.json"
+    save_json(via_save_json, pencil_to_dict(P))
+    save_pencil(via_save_pencil, P)
+    expect = (json.dumps(pencil_to_dict(P)) + "\n").encode()
+    assert via_save_pencil.read_bytes() == via_save_json.read_bytes() == expect
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_io_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    R = _r1()
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    bad = {name: tmp_path / f"{name}.json" for name in ("truncated", "structure", "deep")}
+    bad["truncated"].write_text('{"format": 1, "X"')
+    bad["structure"].write_text('{"format": 1, "realization": [], "dims": 3}')
+    bad["deep"].write_text("[" * 200000 + "]" * 200000)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        save_json(prob, problem_to_dict(R))
+        assert gc.isenabled() is enabled
+        save_pencil(pen, build_C1(R))
+        assert gc.isenabled() is enabled
+        load_problem(prob)
+        assert gc.isenabled() is enabled
+        load_pencil(pen)
+        assert gc.isenabled() is enabled
+        for path in bad.values():
+            for load in (load_problem, load_pencil):
+                with pytest.raises(ValueError):
+                    load(path)
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_pencil_file_round_trip_runs_no_collection(tmp_path):
+    # an N = 200 pencil file holds 80,000 [re, im] lists; writing and reading
+    # it must leave none of them for the cyclic collector to scan
+    P = build_C1(random_realization(np.random.default_rng(3), 2, 80, 2, 20))
+    assert P.X.shape == (200, 200)
+    pen = tmp_path / "c1.json"
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        save_pencil(pen, P)
+        P2 = load_pencil(pen)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+    assert np.array_equal(P2.X, P.X) and np.array_equal(P2.Y, P.Y)
+
+
+def test_cli_deeply_nested_file_is_input_error(tmp_path, capsys):
+    # the decoder recurses once per level; that is an input error (exit 2), not
+    # a traceback with exit 1 ("verified fail")
+    deep, prob, pen = tmp_path / "deep.json", tmp_path / "p.json", tmp_path / "c1.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    _write_problem(prob, _r1())
+    assert main(["build", "--input", str(prob), "--output", str(pen)]) == 0
+    assert main(["build", "--input", str(deep), "--output", str(tmp_path / "x.json")]) == 2
+    assert "problem file is nested too deeply" in capsys.readouterr().err
+    for verb in ("verify", "solve"):
+        assert main([verb, "--pencil", str(deep), "--input", str(prob)]) == 2
+        assert "pencil file is nested too deeply" in capsys.readouterr().err
+        assert main([verb, "--pencil", str(pen), "--input", str(deep)]) == 2
+        assert "problem file is nested too deeply" in capsys.readouterr().err
+    assert gc.isenabled()
+
+
+def test_cli_verify_report_of_an_early_fail_is_strict_json(tmp_path, capsys):
+    # a C1 file retagged l2g fails membership before any eigenvalue or residual
+    # is computed; those fields are null, never the non-JSON Infinity
+    R = random_realization(np.random.default_rng(4), 3, 4, 2, 3)
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, R)
+    obj = pencil_to_dict(build_C1(R))
+    save_json(pen, {**obj, "space": "l2g"})
+    assert main(["verify", "--pencil", str(pen), "--input", str(prob)]) == 1
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert report["verdict"] == "fail" and report["reason"].startswith("membership")
+    assert report["max_eig_error"] is None and report["ansatz_residual"] is None
