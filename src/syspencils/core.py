@@ -196,9 +196,10 @@ class Realization:
     both degrees are structural.  Regularity is not enforced here;
     :func:`syspencils.spectra.system_zeros` raises SingularSystem when the
     eigensolver's regularity test finds the system matrix S(lambda) singular.
-    Kept read-only from first use: the scale, the transpose, the coefficient rows of the
-    ansatz fit, and the reference zeros, sample points and transfer and ``l1s`` lift data
-    of ``verify`` (a computation that raises keeps nothing).
+    Kept read-only from first use: the scale, the transpose (every left-side state solve,
+    lift and recovery runs on it), the coefficient rows of the ansatz fit, and the
+    reference zeros, sample points and transfer and ``l1s`` lift data of ``verify`` (a
+    computation that raises keeps nothing).
     """
 
     A: MatrixPolynomial
@@ -254,13 +255,11 @@ class Realization:
 
     @cached_property
     def _transfer(self) -> tuple:
-        from .spaces import _transfer_data
-        return tuple(map(_freeze, _transfer_data(self, self._samples)))
+        return tuple(map(_freeze, _lift(self, self._samples, np.eye(self.r))))
 
     @cached_property
     def _transfer_dual(self) -> tuple:
-        from .spaces import _transfer_data
-        return tuple(map(_freeze, _transfer_data(self._transpose, self._samples)))
+        return tuple(map(_freeze, _lift(self._transpose, self._samples, np.eye(self.r))))
 
     @cached_property
     def _l1s_data(self) -> tuple:
@@ -355,19 +354,18 @@ def probe_solve(K: np.ndarray, rhs: np.ndarray, norm_floor: float = 0.0):
     return (x[..., 0] if rhs.ndim == 1 else x[..., :-1]), rcond
 
 
-def _guarded_solve(R: Realization, lam, rhs: np.ndarray, transpose: bool = False):
-    """``A(lambda)^{-1} rhs`` (``A(lambda)^{-T} rhs`` with ``transpose``) from one
-    :func:`probe_solve`, after the pole guard: PoleError when numpy finds an exactly
-    zero pivot, or when the probe's reciprocal condition estimate, with ``||A||_1`` floored
-    at the data's own scale ``max_j |A_j|``, is at most ``POLE_RTOL``.  An A(lambda) that
-    overflows is a pole too, without a floating-point warning.  A 1-D array of points
-    gives the solutions stacked along a first axis, and PoleError when any
-    point is a pole."""
+def solve_state(R: Realization, lam, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A(lambda) x = rhs`` from one :func:`probe_solve`, after the pole guard.
+
+    PoleError when numpy finds an exactly zero pivot, or when the probe's reciprocal
+    condition estimate, with ``||A||_1`` floored at the data's own scale ``max_j |A_j|``,
+    is at most ``POLE_RTOL``.  An A(lambda) that overflows is a pole too, without a
+    floating-point warning.  ``lam`` may be a 1-D array of points: the solutions then
+    stack along a first axis, and PoleError is raised when any point is a pole."""
     points = lam[:, None, None] if isinstance(lam, np.ndarray) and lam.ndim == 1 else lam
     with np.errstate(all="ignore"):
-        M = eval_polymat(R.A, points)
         try:
-            x, rcond = probe_solve(M.swapaxes(-1, -2) if transpose else M, rhs, R.A.scale)
+            x, rcond = probe_solve(eval_polymat(R.A, points), rhs, R.A.scale)
         except np.linalg.LinAlgError:
             rcond = 0.0
     if rcond <= POLE_RTOL:
@@ -375,17 +373,31 @@ def _guarded_solve(R: Realization, lam, rhs: np.ndarray, transpose: bool = False
     return x
 
 
-def solve_state(R: Realization, lam, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A(lambda) x = rhs``; PoleError near a pole, judged at the scale ``max_j |A_j|``.
-
-    ``lam`` may be a 1-D array of points: the solutions then stack along a
-    first axis, and PoleError is raised when any point is a pole."""
-    return _guarded_solve(R, lam, rhs)
-
-
 def solve_state_left(R: Realization, lam: complex, lhs: np.ndarray) -> np.ndarray:
-    """Solve ``x A(lambda) = lhs`` (returns ``lhs A(lambda)^{-1}``)."""
-    return _guarded_solve(R, lam, lhs.T, transpose=True).T
+    """Solve ``x A(lambda) = lhs`` (returns ``lhs A(lambda)^{-1}``): the transpose of
+    :func:`solve_state` of :func:`transpose_realization`, whose state matrix is A^T."""
+    return solve_state(R._transpose, lam, lhs.T).T
+
+
+def _kron_col(v: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """``v kron K``, the blocks v_i K stacked; a 2-D v or a 3-D K is a stack of points."""
+    out = v[..., None, None] * (K[:, None] if K.ndim > 2 else K)
+    return out.reshape(out.shape[:-3] + (-1, K.shape[-1]))
+
+
+def _lift(R: Realization, lam, rhs: np.ndarray):
+    """``[Lambda_m kron A(lambda)^{-1} B rhs ; Lambda_k kron rhs]`` and ``G(lambda) rhs``
+    from one :func:`solve_state`, Lambda_d the powers of :func:`lambda_vector`.
+
+    ``rhs`` is a vector or a matrix.  A 1-D array of points stacks both results along a
+    first axis.  A left null vector y of G is the conjugate of a right one of G^T, so the
+    left lift of y is the conjugated lift of conj(y) on :func:`transpose_realization`."""
+    col, powers = rhs.reshape(rhs.shape[0], -1), lambda_vector(max(R.m, R.k), lam)
+    at = lam[:, None, None] if isinstance(lam, np.ndarray) and lam.ndim == 1 else lam
+    F = solve_state(R, lam, R.B @ col)
+    G = R.C @ F + eval_polymat(R.D, at) @ col
+    L = np.concatenate([_kron_col(powers[..., -R.m:], F), _kron_col(powers[..., -R.k:], col)], -2)
+    return (L, G) if rhs.ndim > 1 else (L[..., 0], G[..., 0])
 
 
 def eval_transfer(R: Realization, lam: complex) -> np.ndarray:

@@ -28,6 +28,8 @@ import numpy as np
 from .core import (
     BlockDims,
     Realization,
+    _kron_col,
+    _lift,
     check_finite,
     eval_polymat,
     is_hermitian_realization,
@@ -35,7 +37,6 @@ from .core import (
     lambda_vector,
     max_entry,
     padded_identity,
-    solve_state,
     transpose_realization,
 )
 from .errors import DegenerateFit, DimensionError, NotAMember, StructureError
@@ -133,12 +134,6 @@ class AnsatzPencil:
 def _coeff_row(P) -> np.ndarray:
     """Horizontal stack [P_d, P_{d-1}, ..., P_0] of all coefficients."""
     return np.hstack(P.coeffs[::-1])
-
-
-def _kron_col(v: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """``v kron K``, the blocks v_i K stacked; a 2-D v or a 3-D K is a stack of points."""
-    out = v[..., None, None] * (K[:, None] if K.ndim > 2 else K)
-    return out.reshape(out.shape[:-3] + (-1, K.shape[-1]))
 
 
 def _l1_parts(R: Realization, v, w, W, W1):
@@ -399,14 +394,6 @@ def _l1s_data(R: Realization, lams: np.ndarray):
             eval_polymat(R.A, at) - R.B @ Irn, R.C + eval_polymat(R.D, at) @ Irn)
 
 
-def _transfer_data(R: Realization, lams: np.ndarray):
-    """The lift ``[Lambda_m kron A^{-1}B ; Lambda_k kron I_r]`` and G at ``lams``, one solve."""
-    F = solve_state(R, lams, R.B)
-    G = R.C @ F + eval_polymat(R.D, lams[:, None, None])
-    return np.concatenate([_kron_col(lambda_vector(R.m, lams), F),
-                           _kron_col(lambda_vector(R.k, lams), np.eye(R.r))], axis=1), G
-
-
 def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
     """Max deviation of the space-defining identity over the sample points.
 
@@ -428,8 +415,8 @@ def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
         return _max_deviation(P.X, P.Y, lams, M, target)
     sides = []
     if P.space != SPACE_L2G:
-        sides.append((P.X, P.Y, R._transfer if kept else _transfer_data(R, lams)))
+        sides.append((P.X, P.Y, R._transfer if kept else _lift(R, lams, np.eye(R.r))))
     if P.space in (SPACE_L2G, SPACE_DL):
         sides.append((P.X.T, P.Y.T, R._transfer_dual if kept else
-                      _transfer_data(transpose_realization(R), lams)))
+                      _lift(transpose_realization(R), lams, np.eye(R.r))))
     return max(_max_deviation(X, Y, lams, M, _kron_col(P.w, G)) for X, Y, (M, G) in sides)

@@ -21,13 +21,11 @@ import numpy as np
 from .core import (
     BlockDims,
     Realization,
+    _lift,
     eval_polymat,
-    lambda_vector,
     max_entry,
     numerical_rank,
     probe_solve,
-    solve_state,
-    solve_state_left,
 )
 from .errors import (
     DegenerateVector,
@@ -143,9 +141,9 @@ def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
     if shifted is not None:
         eigs = _finite_pairs(X, Y, *shifted)
         bound = 10 * X.shape[0] * np.finfo(float).eps
-        if (eigs.backward_errors <= bound).all() and (
-                not left or (_backward_errors(X, Y, eigs.eigenvalues, eigs.left, True)
-                             <= bound).all()):
+        # a left vector y of lambda X + Y is a right one of conj(lambda) X* + Y*
+        if (eigs.backward_errors <= bound).all() and (not left or (_backward_errors(
+                X.conj().T, Y.conj().T, eigs.eigenvalues.conj(), eigs.left) <= bound).all()):
             return eigs if right else replace(eigs, right=None)
     import scipy.linalg
 
@@ -191,11 +189,8 @@ def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool):
     return sigma * mu - 1.0, mu, vl, u
 
 
-def _backward_errors(X, Y, lam, V, left: bool) -> np.ndarray:
-    """``||(lambda X + Y) u||`` (``||y* (lambda X + Y)||`` with ``left``) over
-    ``|lambda| ||X||_F + ||Y||_F``, per unit column of V."""
-    if left:
-        X, Y, lam = X.conj().T, Y.conj().T, lam.conj()
+def _backward_errors(X, Y, lam, V) -> np.ndarray:
+    """``||(lambda X + Y) u||`` over ``|lambda| ||X||_F + ||Y||_F``, per unit column u of V."""
     return (np.linalg.norm(lam * (X @ V) + Y @ V, axis=0)
             / np.maximum(np.abs(lam) * _norm(X) + _norm(Y), 1e-300))
 
@@ -207,7 +202,7 @@ def _finite_pairs(X, Y, alpha, beta, vl, vr) -> PencilEigs:
               V[:, finite] / np.maximum(np.linalg.norm(V[:, finite], axis=0), 1e-300)
               for V in (vl, vr))
     lam = alpha[finite] / beta[finite]
-    eta = None if vr is None else _backward_errors(X, Y, lam, vr, False)
+    eta = None if vr is None else _backward_errors(X, Y, lam, vr)
     return PencilEigs(eigenvalues=lam, right=vr, left=vl, backward_errors=eta)
 
 
@@ -426,37 +421,18 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
         ansatz_residual=res, full_z_rank=flags)
 
 
-def _lift(R: Realization, x: np.ndarray, lam0: complex, left: bool):
-    """The lifted pencil eigenvector of ``x`` and ``G(lam0) x`` (``x* G(lam0)`` on
-    the left), from one guarded solve with one right-hand side.
-
-    Right: ``[Lambda_{m-1} kron A(lam0)^{-1} B x ; Lambda_{k-1} kron x]``;
-    left: ``[conj(Lambda) kron (-C A(lam0)^{-1})* x ; conj(Lambda) kron x]``.
-    """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    powers = lambda_vector(max(R.m, R.k), lam0)  # its last m and last k entries
-    if left:
-        z = solve_state_left(R, lam0, x.conj() @ R.C)  # x* C A(lam0)^{-1}
-        top, Gx = -z.conj(), z @ R.B + x.conj() @ eval_polymat(R.D, lam0)
-        powers = powers.conj()
-    else:
-        top = solve_state(R, lam0, R.B @ x)  # A(lam0)^{-1} B x
-        Gx = R.C @ top + eval_polymat(R.D, lam0) @ x
-    return np.concatenate([(powers[-R.m:, None] * top).ravel(),
-                           (powers[-R.k:, None] * x).ravel()]), Gx
-
-
 def lift_right(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
     """Lift a transfer-function null vector to pencil eigenvector shape.
 
     Returns ``[Lambda_{m-1} kron A(lam0)^{-1} B x ; Lambda_{k-1} kron x]``.
     """
-    return _lift(R, x, lam0, left=False)[0]
+    return _lift(R, lam0, np.asarray(x, dtype=complex).reshape(-1))[0]
 
 
 def lift_left(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
-    """Left analogue: ``[conj(Lambda) kron (-C A^{-1})* y ; conj(Lambda) kron y]``."""
-    return _lift(R, y, lam0, left=True)[0]
+    """Left analogue: ``[conj(Lambda) kron (-C A^{-1})* y ; conj(Lambda) kron y]``, the
+    conjugated :func:`lift_right` of ``conj(y)`` on :func:`transpose_realization`."""
+    return lift_right(R._transpose, np.conj(y), lam0).conj()
 
 
 @dataclass(frozen=True)
@@ -473,8 +449,15 @@ class RecoveredVector:
     transfer_residual: float
 
 
-def _recover(u: np.ndarray, dims: BlockDims, R: Realization, lam0: complex,
-             left: bool) -> RecoveredVector:
+def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
+                  lam0: complex) -> RecoveredVector:
+    """Extract the transfer-function eigenvector from a right pencil eigenvector.
+
+    The bottom partition of ``u`` is ``Lambda_{k-1}(lam0) kron x``: x is its block of
+    largest norm divided by that block's power of lam0 (the trailing block when
+    ``|lam0| <= 1``), at unit norm (DegenerateVector when that block is negligible).
+    The structural residual is the distance of ``u`` to the lifted form at the best scale.
+    """
     u = np.asarray(u, dtype=complex).reshape(-1)
     if u.shape != (dims.size,):
         raise DimensionError(f"vector length must be {dims.size}")
@@ -487,45 +470,33 @@ def _recover(u: np.ndarray, dims: BlockDims, R: Realization, lam0: complex,
     power, norm_j = lam0 ** (dims.k - 1 - j), norms[j]
     if norm_j <= 1e-12 * norm_u or not 1e-300 <= abs(power) < math.inf:
         raise DegenerateVector("no block of the bottom partition is usable")
-    x = blocks[j] / (norm_j * (np.conj(power) if left else power) / abs(power))  # unit norm
-    L, Gx = _lift(R, x, lam0, left)
+    x = blocks[j] / (norm_j * power / abs(power))  # unit norm
+    L, Gx = _lift(R, lam0, x)
     c = np.vdot(u, L) / norm_u ** 2
     return RecoveredVector(x=x, structural_residual=_norm(c * u - L),
                            transfer_residual=_norm(Gx))
 
 
-def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
-                  lam0: complex) -> RecoveredVector:
-    """Extract the transfer-function eigenvector from a right pencil eigenvector.
-
-    The bottom partition of ``u`` is ``Lambda_{k-1}(lam0) kron x``: x is its block of
-    largest norm divided by that block's power of lam0 (the trailing block when
-    ``|lam0| <= 1``), at unit norm (DegenerateVector when that block is negligible).
-    The structural residual is the distance of ``u`` to the lifted form at the best scale.
-    """
-    return _recover(u, dims, R, lam0, left=False)
-
-
 def recover_left(u: np.ndarray, dims: BlockDims, R: Realization,
                  lam0: complex) -> RecoveredVector:
-    """Left analogue of :func:`recover_right` (conjugated power stack)."""
-    return _recover(u, dims, R, lam0, left=True)
-
-
-def _power_one_blocks(R: Realization, lifted: np.ndarray) -> np.ndarray:
-    """The blocks of a lifted vector that multiply lambda^0 in its power stacks."""
-    t = R.m * R.n
-    return np.concatenate([lifted[t - R.n:t], lifted[-R.r:]])
+    """Left analogue of :func:`recover_right`: a left pencil eigenvector u of a second-space
+    member lifts ``y`` with ``y* G(lam0) = 0``, so ``conj(u)`` lifts ``conj(y)`` on
+    :func:`transpose_realization`.  ``x`` is y and ``transfer_residual`` is ``||y* G(lam0)||``."""
+    rec = recover_right(np.conj(u), dims, R._transpose, lam0)
+    return RecoveredVector(rec.x.conj(), rec.structural_residual, rec.transfer_residual)
 
 
 def f_map(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
-    """Null-space map ``x -> [A(lam0)^{-1} B x ; x]``.
+    """Null-space map ``x -> [A(lam0)^{-1} B x ; x]``: the blocks of :func:`lift_right`
+    that multiply lam0^0.
 
     Sends right null vectors of G(lam0) to right null vectors of S(lam0).
     """
-    return _power_one_blocks(R, _lift(R, x, lam0, left=False)[0])
+    lifted, t = lift_right(R, x, lam0), R.m * R.n
+    return np.concatenate([lifted[t - R.n:t], lifted[-R.r:]])
 
 
 def g_map(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
-    """Null-space map ``y -> [(-C A(lam0)^{-1})* y ; y]`` for left vectors."""
-    return _power_one_blocks(R, _lift(R, y, lam0, left=True)[0])
+    """Null-space map ``y -> [(-C A(lam0)^{-1})* y ; y]`` for left vectors: the conjugated
+    :func:`f_map` of ``conj(y)`` on :func:`transpose_realization`."""
+    return f_map(R._transpose, np.conj(y), lam0).conj()

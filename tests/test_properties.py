@@ -1,6 +1,7 @@
 """Property tests: bit-exact JSON round trips, a CLI that never crashes and
 the ansatz-space invariants (membership round trips, transpose duality,
-residuals of double-ansatz members) over generated realizations."""
+residuals of double-ansatz members, the lift identities and recovery on
+both sides) over generated realizations."""
 
 import contextlib
 import copy
@@ -21,10 +22,17 @@ from syspencils import (  # noqa: E402
     MatrixPolynomial,
     Realization,
     build_C1,
+    build_C2,
+    build_DL,
     build_pencil_L1,
     build_pencil_L2,
+    eval_transfer,
+    lift_left,
+    lift_right,
     membership,
     nonpole_samples,
+    recover_left,
+    recover_right,
     residual_ansatz,
     sample_space,
     transpose_realization,
@@ -231,3 +239,38 @@ def test_double_ansatz_residual_within_tolerance_and_perturbation_exceeds_it(
     noise = rng.standard_normal(P.Y.shape) * 1e-6 * np.max(np.abs(P.Y))
     bad = AnsatzPencil(X=P.X, Y=P.Y + noise, dims=P.dims, space=space, v=P.v, w=P.w)
     assert residual_ansatz(bad, R, samples) > tol
+
+
+_MEMBERS = {"c1": build_C1, "c2": build_C2, "dl": build_DL}
+
+
+@_FAST
+@given(dims_st, zero_st, seed_st, st.sampled_from(["c1", "l1g", "dl", "c2", "l2g"]))
+@example((1, 1, 3, 2), "B", 5, "c2")  # r > n, m != k
+@example((2, 1, 1, 3), "C", 6, "l2g")
+@example((3, 1, 2, 2), "B", 7, "l1g")
+def test_lift_identities_hold_and_recovery_inverts_the_lift(dims, zero, seed, source):
+    # first space: P(lam) lift_right(x) = [0 ; w kron G(lam) x]; second space:
+    # lift_left(y)* P(lam) = [0 | z^T kron y* G(lam)], with the pair membership reads
+    R = _realization(dims, zero, seed)
+    P = _MEMBERS[source](R) if source in _MEMBERS else sample_space(R, seed, source)
+    rng = np.random.default_rng(seed + 3)
+    x = rng.standard_normal(R.r) + 1j * rng.standard_normal(R.r)
+    lam = nonpole_samples(R, 1, seed=seed % 1000)[0]
+    G, L = eval_transfer(R, lam), P(lam)
+    _, w = membership(P.X, P.Y, R, P.space)  # z of the left pair (s, z) in the second space
+    if P.space == SPACE_L2G:
+        u = lift_left(R, x, lam)
+        got, want, rec = u.conj() @ L, np.kron(w, x.conj() @ G), recover_left(u, R.dims, R, lam)
+    else:
+        u = lift_right(R, x, lam)
+        got, want, rec = L @ u, np.kron(w, G @ x), recover_right(u, R.dims, R, lam)
+    scale = np.linalg.norm(L) * np.linalg.norm(u)
+    assert np.linalg.norm(got[:R.dims.top]) <= 1e-10 * scale
+    assert np.linalg.norm(got[R.dims.top:] - want) <= 1e-10 * scale
+    xn = x / np.linalg.norm(x)
+    phase = np.vdot(rec.x, xn)
+    assert np.linalg.norm(rec.x * phase / abs(phase) - xn) <= 1e-10
+    assert rec.structural_residual <= 1e-10 * np.linalg.norm(u)
+    Gx = xn.conj() @ G if P.space == SPACE_L2G else G @ xn
+    assert abs(rec.transfer_residual - np.linalg.norm(Gx)) <= 1e-10 * np.linalg.norm(G)

@@ -509,7 +509,8 @@ def _deviation_per_point(X, Y, lams, M, target):
 @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 3, 2, 2), (3, 2, 1, 2)])
 def test_stacked_deviation_equals_the_per_point_loop(dims):
     # one broadcast (lam X + Y) @ M for all points runs the products of the loop
-    from syspencils.spaces import _kron_col, _l1s_data, _max_deviation, _transfer_data
+    from syspencils.core import _kron_col, _lift
+    from syspencils.spaces import _l1s_data, _max_deviation
 
     rng = np.random.default_rng(36)
     R = random_realization(rng, *dims)
@@ -530,7 +531,7 @@ def test_stacked_deviation_equals_the_per_point_loop(dims):
                 if P.space in (SPACE_L2G, SPACE_DL):
                     halves.append((P.X.T, P.Y.T, transpose_realization(R)))
                 sides = [(X, Y, M, _kron_col(P.w, G)) for X, Y, Rs in halves
-                         for M, G in [_transfer_data(Rs, points)]]
+                         for M, G in [_lift(Rs, points, np.eye(Rs.r))]]
             loops = [_deviation_per_point(X, Y, points, M, T) for X, Y, M, T in sides]
             assert [_max_deviation(X, Y, points, M, T) for X, Y, M, T in sides] == loops
             assert residual_ansatz(P, R, points) == max(loops), P.space
