@@ -17,6 +17,7 @@ from . import spaces
 from .core import BlockDims
 from .errors import PencilError
 from .io import (
+    _json_tree,
     decode_matrix,
     decode_vector,
     encode_float,
@@ -160,19 +161,20 @@ def cmd_solve(args) -> int:
     # second-space pencils carry y in their left eigenvectors, the others x
     # in their right ones; only that side is computed
     left = P.space == spaces.SPACE_L2G
-    eigs = solve_pencil(P.X, P.Y, left=left, right=not left)
     recover = recover_left if left else recover_right
-    vecs = eigs.left if left else eigs.right
-    out = {"eigenvalues": encode_vector(eigs.eigenvalues), "eigenvectors": [], "residuals": []}
-    for i, lam in enumerate(eigs.eigenvalues):
-        try:
-            rec = recover(vecs[:, i], P.dims, R, lam)
-            out["eigenvectors"].append(encode_vector(rec.x))
-            out["residuals"].append(encode_float(rec.transfer_residual))
-        except PencilError:
-            out["eigenvectors"].append(None)
-            out["residuals"].append(None)
-    _emit(out)
+    with _json_tree("solve report"):  # N vectors of [re, im] lists, built and printed
+        eigs = solve_pencil(P.X, P.Y, left=left, right=not left)
+        vecs = eigs.left if left else eigs.right
+        out = dict(eigenvalues=encode_vector(eigs.eigenvalues), eigenvectors=[], residuals=[])
+        for i, lam in enumerate(eigs.eigenvalues):
+            try:
+                rec = recover(vecs[:, i], P.dims, R, lam)
+                out["eigenvectors"].append(encode_vector(rec.x))
+                out["residuals"].append(encode_float(rec.transfer_residual))
+            except PencilError:
+                out["eigenvectors"].append(None)
+                out["residuals"].append(None)
+        _emit(out)
     return EXIT_PASS
 
 

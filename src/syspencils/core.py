@@ -73,6 +73,17 @@ def _freeze(a) -> np.ndarray:
     return out
 
 
+def _kept_pencil(maker: str, *args) -> cached_property:
+    """A cached property of R: the (X, Y, v, w) of ``spaces.<maker>(R, *args)``, read-only."""
+    def parts(R):
+        from . import spaces
+        out = getattr(spaces, maker)(R, *args)  # new arrays: made read-only, not copied
+        for a in out:
+            a.setflags(write=False)
+        return out
+    return cached_property(parts)
+
+
 @dataclass(frozen=True)
 class MatrixPolynomial:
     """Dense matrix polynomial ``P(lambda) = sum_j lambda^j P_j``.
@@ -196,8 +207,9 @@ class Realization:
     both degrees are structural.  Regularity is not enforced here;
     :func:`syspencils.spectra.system_zeros` raises SingularSystem when the
     eigensolver's regularity test finds the system matrix S(lambda) singular.
-    Kept read-only from first use: the scale, the transpose (every left-side state solve,
-    lift and recovery runs on it), the coefficient rows of the ansatz fit, and the
+    Kept read-only from first use: the scale, dims, transpose (every left-side solve, lift
+    and recovery runs on it), coefficient rows and their ansatz fit, structure tests, the
+    pencils the builders copy (C1, DL, the sign -1 double-ansatz representative), and the
     reference zeros, sample points and transfer and ``l1s`` lift data of ``verify`` (a
     computation that raises keeps nothing).
     """
@@ -267,9 +279,24 @@ class Realization:
         return tuple(map(_freeze, _l1s_data(self, self._samples)))
 
     @cached_property
+    def _coeff_rows(self) -> tuple:  # [A_m ... A_0] and [D_k ... D_0]
+        return tuple(_freeze(np.hstack(P.coeffs[::-1])) for P in (self.A, self.D))
+
+    @cached_property
     def _fit_rows(self) -> tuple:
         from .spaces import _fit_row
-        return _fit_row(self.A), _fit_row(self.D)
+        return tuple(map(_fit_row, self._coeff_rows))
+
+    _c1 = _kept_pencil("_companion_parts")
+    _dl = _kept_pencil("_dl_parts", 1.0)
+    _dl_signed = _kept_pencil("_dl_parts", -1.0)  # of the sym and herm members
+
+    @cached_property
+    def _structured(self) -> tuple:
+        """(:func:`is_symmetric_realization`, :func:`is_hermitian_realization`)."""
+        return tuple(max_entry(*(c - op(c) for c in self.A.coeffs + self.D.coeffs),
+                               op(self.C) - self.B) <= 1e-10 * self.scale
+                     for op in (np.transpose, lambda M: M.conj().T))
 
     @property
     def n(self) -> int:
@@ -287,7 +314,7 @@ class Realization:
     def k(self) -> int:
         return self.D.degree
 
-    @property
+    @cached_property
     def dims(self) -> BlockDims:
         return BlockDims(self.m, self.n, self.k, self.r)
 
@@ -424,18 +451,11 @@ def transpose_realization(R: Realization) -> Realization:
     return R._transpose
 
 
-def _is_structured(R: Realization, conj: bool) -> bool:
-    """(Conjugate) symmetry of R in max norm, to ``1e-10`` times the data's scale."""
-    op = (lambda M: M.conj().T) if conj else (lambda M: M.T)
-    dev = max_entry(*(c - op(c) for c in R.A.coeffs + R.D.coeffs), op(R.C) - R.B)
-    return dev <= 1e-10 * R.scale
-
-
 def is_symmetric_realization(R: Realization) -> bool:
     """True when all A_i, D_i are symmetric and C^T = B, to ``1e-10 R.scale``."""
-    return _is_structured(R, conj=False)
+    return R._structured[0]
 
 
 def is_hermitian_realization(R: Realization) -> bool:
     """True when all A_i, D_i are Hermitian and C* = B, to ``1e-10 R.scale``."""
-    return _is_structured(R, conj=True)
+    return R._structured[1]

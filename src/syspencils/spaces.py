@@ -131,11 +131,6 @@ class AnsatzPencil:
         return lam * self.X + self.Y
 
 
-def _coeff_row(P) -> np.ndarray:
-    """Horizontal stack [P_d, P_{d-1}, ..., P_0] of all coefficients."""
-    return np.hstack(P.coeffs[::-1])
-
-
 def _l1_parts(R: Realization, v, w, W, W1):
     """X, Y of the first-space pencil with ansatz (v, w) and free (W, W1).
 
@@ -148,11 +143,11 @@ def _l1_parts(R: Realization, v, w, W, W1):
     w = _as_vector(w, k, "w")
     W = _as_free_block(W, m * n, (m - 1) * n, "W")
     W1 = _as_free_block(W1, k * r, (k - 1) * r, "W1")
-    t, size = m * n, m * n + k * r
+    t, size, (KA, KD) = m * n, m * n + k * r, R._coeff_rows
     X = np.zeros((size, size), dtype=complex)
     Y = np.zeros((size, size), dtype=complex)
-    for lo, hi, b, u, P, F in ((0, t, n, v, R.A, W), (t, size, r, w, R.D, W1)):
-        U = _kron_col(u, _coeff_row(P))
+    for lo, hi, b, u, K, F in ((0, t, n, v, KA, W), (t, size, r, w, KD, W1)):
+        U = _kron_col(u, K)
         X[lo:hi, lo:lo + b] = U[:, :b]
         X[lo:hi, lo + b:hi] = F
         Y[lo:hi, lo:hi] = U[:, b:]
@@ -193,22 +188,28 @@ def build_pencil_L2(R: Realization, s, z, W=None, W1=None) -> AnsatzPencil:
     return AnsatzPencil(X=X.T, Y=Y.T, dims=R.dims, space=SPACE_L2G, v=s, w=z)
 
 
-def _companion_args(R: Realization):
-    """R, the ansatz pair (e_1, e_1) and the companion free blocks (zeros
-    over an identity) of both partitions."""
+def _companion_parts(R: Realization):
+    """(X, Y, v, w) of C1: ansatz pair (e_1, e_1), free blocks zeros over an identity."""
     m, n, k, r = R.m, R.n, R.k, R.r
-    return (R, np.eye(m)[0], np.eye(k)[0], np.eye(m * n, (m - 1) * n, -n, dtype=complex),
-            np.eye(k * r, (k - 1) * r, -r, dtype=complex))
+    return _l1_parts(R, np.eye(m)[0], np.eye(k)[0], np.eye(m * n, (m - 1) * n, -n,
+                     dtype=complex), np.eye(k * r, (k - 1) * r, -r, dtype=complex))
+
+
+def _fresh(parts, dims: BlockDims, space: str, alpha=None) -> AnsatzPencil:
+    """A pencil of writable copies of kept (X, Y, v, w) in their layout, or alpha times them."""
+    X, Y, v, w = (np.copy(a, order="K") if alpha is None else alpha * a for a in parts)
+    return AnsatzPencil(X=X, Y=Y, dims=dims, space=space, v=v, w=w)
 
 
 def build_C1(R: Realization) -> AnsatzPencil:
-    """First companion pencil; first-space member with ansatz (e_1, e_1)."""
-    return build_pencil_L1(*_companion_args(R), space=SPACE_L1G)
+    """First companion pencil, ansatz (e_1, e_1): a fresh copy of the one kept on R."""
+    return _fresh(R._c1, R.dims, SPACE_L1G)
 
 
 def build_C2(R: Realization) -> AnsatzPencil:
-    """Second companion pencil; second-space member with ansatz (e_1, e_1)."""
-    return build_pencil_L2(*_companion_args(R))
+    """Second companion pencil, ansatz (e_1, e_1): the transposed C1 kept on the transpose."""
+    X, Y, s, z = transpose_realization(R)._c1
+    return _fresh((X.T, Y.T, s, z), R.dims, SPACE_L2G)
 
 
 def _anti_hankel(P, d: int) -> np.ndarray:
@@ -225,16 +226,24 @@ def _anti_hankel(P, d: int) -> np.ndarray:
     return H
 
 
-def _dl_member(R: Realization, space: str, sign: float) -> AnsatzPencil:
-    """First-space member with ansatz (e_m, sign e_k) and anti-Hankel free blocks."""
+def _dl_parts(R: Realization, sign: float):
+    """(X, Y, v, w) of the member with ansatz (e_m, sign e_k) and anti-Hankel free blocks."""
     # sign -1 gives the symmetric and Hermitian ray representative: negating
     # the bottom partition makes the off-diagonal blocks transpose into each
     # other, which is impossible at (e_m, e_k) under the honest sign
     # convention (it would force C = -B^T instead of C = B^T).
     W1 = _anti_hankel(R.D, R.k)
-    X, Y, v, w = _l1_parts(R, np.eye(R.m)[-1], sign * np.eye(R.k)[-1],
-                           _anti_hankel(R.A, R.m), W1 if sign > 0 else -W1)
-    return AnsatzPencil(X=X, Y=Y, dims=R.dims, space=space, v=v, w=w)
+    return _l1_parts(R, np.eye(R.m)[-1], sign * np.eye(R.k)[-1],
+                     _anti_hankel(R.A, R.m), W1 if sign > 0 else -W1)
+
+
+def _one_dimensional(R: Realization, space: str, alpha=None) -> AnsatzPencil:
+    """A fresh member of the dl, sym or herm space: the pencil kept on R (alpha times it)."""
+    if space == SPACE_SYM and not is_symmetric_realization(R):
+        raise StructureError("realization is not symmetric (A_i, D_i symmetric, C^T = B)")
+    if space == SPACE_HERM and not is_hermitian_realization(R):
+        raise StructureError("realization is not Hermitian (A_i, D_i Hermitian, C* = B)")
+    return _fresh(R._dl if space == SPACE_DL else R._dl_signed, R.dims, space, alpha)
 
 
 def build_DL(R: Realization) -> AnsatzPencil:
@@ -244,39 +253,33 @@ def build_DL(R: Realization) -> AnsatzPencil:
     coefficients; the constant blocks sit in the last block row and column
     of each partition.  The result is block-symmetric, satisfies the
     first-space identity with (e_m, e_k) and the second-space identity
-    with the same pair.
+    with the same pair.  A fresh copy of the pencil kept on R.
     """
-    return _dl_member(R, SPACE_DL, 1.0)
+    return _one_dimensional(R, SPACE_DL)
 
 
 def build_symmetric(R: Realization) -> AnsatzPencil:
     """Elementwise symmetric double-ansatz pencil for symmetric data.
 
     Requires A_i^T = A_i, D_i^T = D_i and C^T = B; the returned pencil has
-    X = X^T and Y = Y^T and carries the ansatz pair (e_m, -e_k).
+    X = X^T and Y = Y^T and carries the ansatz pair (e_m, -e_k); a fresh copy.
     """
-    if not is_symmetric_realization(R):
-        raise StructureError("realization is not symmetric (A_i, D_i symmetric, C^T = B)")
-    return _dl_member(R, SPACE_SYM, -1.0)
+    return _one_dimensional(R, SPACE_SYM)
 
 
 def build_hermitian(R: Realization) -> AnsatzPencil:
-    """Elementwise Hermitian double-ansatz pencil for Hermitian data."""
-    if not is_hermitian_realization(R):
-        raise StructureError("realization is not Hermitian (A_i, D_i Hermitian, C* = B)")
-    return _dl_member(R, SPACE_HERM, -1.0)
+    """Elementwise Hermitian double-ansatz pencil for Hermitian data; a fresh copy."""
+    return _one_dimensional(R, SPACE_HERM)
 
 
-def _fit_row(P) -> tuple:
+def _fit_row(K) -> tuple:
     """``K = [P_d ... P_0]``, and K conjugated, flattened and divided by max|K| with the
     normaliser of the fit Z ~ v kron K (one v entry per block row); read-only."""
-    big = P.scale
+    big = max_entry(K)
     if big == 0.0:
         raise DegenerateFit("all reference coefficients vanish; ansatz vector unidentifiable")
-    K = _coeff_row(P)
     Kc = K.conj().ravel() / big
-    for a in (K, Kc):
-        a.setflags(write=False)
+    Kc.setflags(write=False)
     return K, Kc, np.vdot(Kc, Kc).real * big
 
 
@@ -294,7 +297,10 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
     Second-space membership is tested on the transposed pencil against the
     sign-normalized transpose realization and returns the left pair (s, z).
     The double-ansatz tag tests both halves and returns the first-space pair.
-    The symmetric (Hermitian) tags also require X and Y symmetric (Hermitian).
+    The symmetric (Hermitian) tags require X and Y symmetric (Hermitian) instead of the
+    second half, which that implies: (X^T, Y^T) is then a first-space member, with (v, w)
+    (conjugated), of the unsigned transpose (A^T, C^T, B^T, D^T), which is R for symmetric
+    and conj(R) for Hermitian data; the second half's transpose negates B and C.
     """
     if space not in SPACES:
         raise DimensionError(f"unknown space tag {space!r}")
@@ -348,14 +354,14 @@ def sample_space(R: Realization, seed: int, space: str = SPACE_L1G) -> AnsatzPen
 
     Ansatz vectors are complex Gaussian normalized to unit norm; the free
     blocks are complex Gaussian.  The double-ansatz and structured spaces
-    are one-dimensional, so sampling reduces to a random scaling (real for
-    the Hermitian space, which complex scalings would leave).
+    are one-dimensional, so a member is the pencil kept on R times a random
+    scalar (real for the Hermitian space, which complex scalings would leave).
     """
     rng = np.random.default_rng(seed)
 
     def cvec(size):
         z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return z / np.linalg.norm(z) if np.linalg.norm(z) else z
+        return z / norm if (norm := np.linalg.norm(z)) else z
 
     def cmat(rows, cols):
         if rows == 0 or cols == 0:
@@ -366,15 +372,12 @@ def sample_space(R: Realization, seed: int, space: str = SPACE_L1G) -> AnsatzPen
     if space in (SPACE_L1S, SPACE_L1G, SPACE_L2G):
         args = (R, cvec(m), cvec(k), cmat(m * n, (m - 1) * n), cmat(k * r, (k - 1) * r))
         return build_pencil_L2(*args) if space == SPACE_L2G else build_pencil_L1(*args, space)
-    members = {SPACE_DL: build_DL, SPACE_SYM: build_symmetric, SPACE_HERM: build_hermitian}
-    if space not in members:
+    if space not in (SPACE_DL, SPACE_SYM, SPACE_HERM):
         raise DimensionError(f"unknown space tag {space!r}")
-    P = members[space](R)
     alpha = complex(rng.standard_normal())
     if space != SPACE_HERM:
         alpha += 1j * rng.standard_normal()
-    return AnsatzPencil(X=alpha * P.X, Y=alpha * P.Y, dims=P.dims, space=space,
-                        v=alpha * P.v, w=alpha * P.w)
+    return _one_dimensional(R, space, alpha)
 
 
 def _max_deviation(X, Y, lams, M, target) -> float:

@@ -34,6 +34,12 @@ def random_hermitian_realization(rng, m, n, k, r):
     return Realization(A=A, B=B, C=B.conj().T.copy(), D=D)
 
 
+def same_data(R):
+    """An equal but distinct realization: nothing computed for R is kept on it."""
+    return Realization(A=MatrixPolynomial(R.A.coeffs), B=R.B, C=R.C,
+                       D=MatrixPolynomial(R.D.coeffs))
+
+
 def scaled_realization(R, c):
     """``c R``: the coefficients of A and D, B and C, all times c."""
     return Realization(A=MatrixPolynomial(tuple(c * a for a in R.A.coeffs)), B=c * R.B,

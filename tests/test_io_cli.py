@@ -840,3 +840,45 @@ def test_cli_verify_report_of_an_early_fail_is_strict_json(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert report["verdict"] == "fail" and report["reason"].startswith("membership")
     assert report["max_eig_error"] is None and report["ansatz_residual"] is None
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", ["c1", "c2", "singular"])
+def test_cli_solve_report_is_built_and_printed_with_the_collector_paused(
+        tmp_path, monkeypatch, capsys, enabled, case):
+    # N eigenvectors as [re, im] lists are a tree without cycles, as io's are: solve
+    # builds and prints it with the collector off, then restores the collector's state
+    import syspencils.cli as cli
+
+    if case == "singular":
+        prob, pen = _zero_leading_problem(tmp_path)
+    else:
+        prob, pen = tmp_path / "p.json", tmp_path / f"{case}.json"
+        _write_problem(prob, random_realization(np.random.default_rng(64), 2, 2, 2, 1))
+        assert main(["build", "--input", str(prob), "--output", str(pen), "--source", case]) == 0
+    seen = []
+
+    def watched(name, fn):
+        def call(*args, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("solve_pencil", "recover_right", "recover_left", "_emit"):
+        monkeypatch.setattr(cli, name, watched(name, getattr(cli, name)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main(["solve", "--pencil", str(pen), "--input", str(prob)])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    out = capsys.readouterr().out
+    names = [name for name, _ in seen]
+    assert not any(on for _, on in seen)
+    if case == "singular":
+        assert code == 3 and out == "" and names == ["solve_pencil"]
+    else:
+        recover = "recover_left" if case == "c2" else "recover_right"
+        assert code == 0 and names == ["solve_pencil"] + [recover] * 6 + ["_emit"]
+        assert len(json.loads(out)["eigenvectors"]) == 6

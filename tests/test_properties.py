@@ -24,8 +24,10 @@ from syspencils import (  # noqa: E402
     build_C1,
     build_C2,
     build_DL,
+    build_hermitian,
     build_pencil_L1,
     build_pencil_L2,
+    build_symmetric,
     eval_transfer,
     lift_left,
     lift_right,
@@ -239,6 +241,32 @@ def test_double_ansatz_residual_within_tolerance_and_perturbation_exceeds_it(
     noise = rng.standard_normal(P.Y.shape) * 1e-6 * np.max(np.abs(P.Y))
     bad = AnsatzPencil(X=P.X, Y=P.Y + noise, dims=P.dims, space=space, v=P.v, w=P.w)
     assert residual_ansatz(bad, R, samples) > tol
+
+
+@_FAST
+@given(dims_st, zero_st, seed_st, st.sampled_from(["sym", "herm"]), st.booleans())
+@example((2, 2, 2, 1), None, 8, "sym", False)  # B != 0: the off-diagonal blocks count
+@example((3, 1, 2, 2), None, 9, "herm", True)
+def test_structured_members_transpose_into_the_first_space_of_the_unsigned_transpose(
+        dims, zero, seed, kind, sampled):
+    # membership's argument for sym and herm: elementwise structure plus first-space
+    # membership put (X^T, Y^T) in the first space, with the pair (e_m, -e_k) times the
+    # member's real or complex scale, of (A^T, C^T, B^T, D^T) = R (symmetric) or conj(R)
+    R = _realization(dims, zero, seed, kind)
+    build = {"sym": build_symmetric, "herm": build_hermitian}[kind]
+    P = sample_space(R, seed, kind) if sampled else build(R)
+    v, w = membership(P.X, P.Y, R, kind)
+    alpha = P.v[-1]
+    assert np.allclose(v, alpha * np.eye(R.m)[-1], rtol=1e-10, atol=1e-12)
+    assert np.allclose(w, -alpha * np.eye(R.k)[-1], rtol=1e-10, atol=1e-12)
+    unsigned = Realization(A=R.A.transpose(), B=R.C.T, C=R.B.T, D=R.D.transpose())
+    op = np.asarray if kind == "sym" else np.conj
+    for got, want in ((unsigned.A.coeffs, R.A.coeffs), (unsigned.D.coeffs, R.D.coeffs),
+                      ((unsigned.B, unsigned.C), (R.B, R.C))):
+        assert all(np.allclose(g, op(x), rtol=0, atol=1e-12) for g, x in zip(got, want))
+    got_v, got_w = membership(P.X.T, P.Y.T, unsigned, SPACE_L1G)
+    assert np.allclose(got_v, op(v), rtol=1e-10, atol=1e-12)
+    assert np.allclose(got_w, op(w), rtol=1e-10, atol=1e-12)
 
 
 _MEMBERS = {"c1": build_C1, "c2": build_C2, "dl": build_DL}

@@ -7,6 +7,7 @@ from conftest import (
     random_hermitian_realization,
     random_realization,
     random_symmetric_realization,
+    same_data,
     scaled_realization,
 )
 from oracles import constraint_nullity, det_scalar_poly, residual_l1s_per_point
@@ -608,3 +609,84 @@ def test_residual_ansatz_at_an_eigenvalue_of_a_raises_pole_error(r1, build):
     # A(lambda) = lambda - 2: the transfer identity needs A(2)^{-1}
     with pytest.raises(PoleError):
         residual_ansatz(build(r1), r1, [0.5, 2.0])
+
+
+_BUILDERS = {"c1": build_C1, "c2": build_C2, "dl": build_DL, "sym": build_symmetric,
+             "herm": build_hermitian}
+_DATA = {"sym": random_symmetric_realization, "herm": random_hermitian_realization}
+
+
+def _arrays(P):
+    return P.X, P.Y, P.v, P.w
+
+
+def _kept_arrays(R):
+    """Every array a builder may copy or read from R and its transpose."""
+    return [a for Q in (R, R._transpose) for name in ("_c1", "_dl", "_dl_signed", "_coeff_rows")
+            for a in vars(Q).get(name, ())]
+
+
+def _companion_reference(R, second):
+    """C1 or C2 as the general builders make them, from the companion free blocks."""
+    m, n, k, r = R.m, R.n, R.k, R.r
+    args = (R, np.eye(m)[0], np.eye(k)[0], np.eye(m * n, (m - 1) * n, -n),
+            np.eye(k * r, (k - 1) * r, -r))
+    return build_pencil_L2(*args) if second else build_pencil_L1(*args)
+
+
+@pytest.mark.parametrize("source", sorted(_BUILDERS))
+def test_builders_return_fresh_copies_of_the_kept_pencil(source):
+    build = _BUILDERS[source]
+    R = _DATA.get(source, random_realization)(np.random.default_rng(61), 2, 3, 3, 2)
+    first, second, other = build(R), build(R), build(same_data(R))
+    kept = _kept_arrays(R)
+    assert kept and not any(a.flags.writeable for a in kept)
+    for a, b, c in zip(_arrays(first), _arrays(second), _arrays(other)):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b)
+        assert not any(np.shares_memory(x, k) for x in (a, b) for k in kept)
+    if source in ("c1", "c2"):
+        ref = _companion_reference(R, source == "c2")
+        for a, b in zip(_arrays(first), _arrays(ref)):
+            assert a.tobytes() == b.tobytes() and a.flags.f_contiguous == b.flags.f_contiguous
+    if source == "c2":  # the transpose of the transpose's C1, as build_pencil_L2 makes it
+        assert first.X.flags.f_contiguous and first.Y.flags.f_contiguous
+    for a in _arrays(first):
+        a[...] = 7.0
+    for a, b in zip(_arrays(build(R)), _arrays(second)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("space", ["sym", "herm"])
+def test_structured_builds_of_unstructured_data_raise_and_keep_nothing(space):
+    R = random_realization(np.random.default_rng(62), 2, 2, 2, 1)
+    for _ in range(2):
+        with pytest.raises(StructureError):
+            _BUILDERS[space](R)
+        with pytest.raises(StructureError):
+            sample_space(R, 0, space)
+    assert "_dl_signed" not in vars(R)
+
+
+@pytest.mark.parametrize("space", ["dl", "sym", "herm"])
+def test_sampling_a_one_dimensional_space_scales_the_built_pencil(space, monkeypatch):
+    from syspencils.spaces import AnsatzPencil
+
+    R = _DATA.get(space, random_realization)(np.random.default_rng(63), 3, 2, 2, 2)
+    sample_space(R, 0, space)  # R keeps its pencil from here on
+    check = AnsatzPencil.__post_init__
+    built = []
+    monkeypatch.setattr(AnsatzPencil, "__post_init__",
+                        lambda P: (built.append(P.space), check(P))[-1])
+    for seed in range(10):
+        built.clear()
+        P = sample_space(R, seed, space)
+        assert built == [space]  # one validated construction per member
+        rng = np.random.default_rng(seed)
+        alpha = complex(rng.standard_normal())
+        if space != "herm":
+            alpha += 1j * rng.standard_normal()
+        built_fresh = _BUILDERS[space](same_data(R))
+        for a, b in zip(_arrays(P), _arrays(built_fresh)):
+            assert a.tobytes() == (alpha * b).tobytes()

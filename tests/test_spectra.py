@@ -9,6 +9,7 @@ from conftest import (
     random_hermitian_realization,
     random_realization,
     random_symmetric_realization,
+    same_data,
     scaled_realization,
 )
 from oracles import (
@@ -856,12 +857,6 @@ def _report_key(report):
     return (report.to_dict(), report.pencil_eigs.tobytes(), report.oracle_roots.tobytes())
 
 
-def _same_data(R):
-    """An equal but distinct realization: nothing computed for R is kept on it."""
-    return Realization(A=MatrixPolynomial(R.A.coeffs), B=R.B, C=R.C,
-                       D=MatrixPolynomial(R.D.coeffs))
-
-
 def test_verify_computes_the_reference_once_per_realization(monkeypatch):
     import syspencils.core as core
     import syspencils.spaces as spaces
@@ -897,7 +892,7 @@ def test_verify_computes_the_reference_once_per_realization(monkeypatch):
     monkeypatch.setattr(spaces, "_l1s_data", counted_l1s)
     monkeypatch.setattr(spaces, "_fit_row", counted_fit)
     R0 = random_realization(np.random.default_rng(41), 2, 3, 2, 2)
-    for R in (R0, _same_data(R0)):
+    for R in (R0, same_data(R0)):
         calls.update(eig=0, stacked=0, samples=0, l1s=0, fit=0)
         members = [build_C1(R), build_C2(R), build_DL(R),
                    sample_space(R, seed=1, space="l1g"), sample_space(R, seed=2, space="l1g"),
@@ -930,7 +925,7 @@ def test_kept_reference_changes_no_report(dims):
             verify_linearization(P, R)  # the first call for R computes what R keeps
             warm = verify_linearization(P, R)
             assert warm.passed, (dims, P.space)
-            assert _report_key(warm) == _report_key(verify_linearization(P, _same_data(R)))
+            assert _report_key(warm) == _report_key(verify_linearization(P, same_data(R)))
             # caller-given points equal to verify's compute afresh, to the same bits
             v, w = membership(P.X, P.Y, R, P.space)  # the pair verify reads from X and Y
             assert residual_ansatz(replace(P, v=v, w=w), R,
