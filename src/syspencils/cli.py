@@ -124,6 +124,7 @@ def cmd_build(args) -> int:
     else:
         P = _BUILDERS[args.source](R)
     specs = _basis_specs(args.basis, P, R)
+    del R  # and the pencil it keeps: not read again while the file is written
     if specs:
         from .basis import _change_basis
 

@@ -66,22 +66,11 @@ def max_entry(*arrays) -> float:
     return float(np.abs(flat).max()) if flat.size else 0.0
 
 
-def _freeze(a) -> np.ndarray:
-    """Return a read-only complex ndarray copy of ``a``."""
-    out = np.array(a, dtype=complex)
+def _freeze(a, copy: bool = True) -> np.ndarray:
+    """A read-only complex ndarray: a copy of ``a``, or with ``copy=False`` a new ``a`` itself."""
+    out = np.array(a, dtype=complex, copy=copy)
     out.setflags(write=False)
     return out
-
-
-def _kept_pencil(maker: str, *args) -> cached_property:
-    """A cached property of R: the (X, Y, v, w) of ``spaces.<maker>(R, *args)``, read-only."""
-    def parts(R):
-        from . import spaces
-        out = getattr(spaces, maker)(R, *args)  # new arrays: made read-only, not copied
-        for a in out:
-            a.setflags(write=False)
-        return out
-    return cached_property(parts)
 
 
 @dataclass(frozen=True)
@@ -207,11 +196,10 @@ class Realization:
     both degrees are structural.  Regularity is not enforced here;
     :func:`syspencils.spectra.system_zeros` raises SingularSystem when the
     eigensolver's regularity test finds the system matrix S(lambda) singular.
-    Kept read-only from first use: the scale, dims, transpose (every left-side solve, lift
-    and recovery runs on it), coefficient rows and their ansatz fit, structure tests, the
-    pencils the builders copy (C1, DL, the sign -1 double-ansatz representative), and the
-    reference zeros, sample points and transfer and ``l1s`` lift data of ``verify`` (a
-    computation that raises keeps nothing).
+    Kept read-only from first use (a computation that raises keeps nothing): the scale,
+    dims, transpose (every left-side solve, lift and recovery runs on it), coefficient rows
+    and their ansatz fit, structure tests, the pencils the builders copy (C1, DL and the
+    sign -1 DL behind sym/herm), and verify's zeros, samples, transfer and l1s lift data.
     """
 
     A: MatrixPolynomial
@@ -280,16 +268,27 @@ class Realization:
 
     @cached_property
     def _coeff_rows(self) -> tuple:  # [A_m ... A_0] and [D_k ... D_0]
-        return tuple(_freeze(np.hstack(P.coeffs[::-1])) for P in (self.A, self.D))
+        return tuple(_freeze(np.hstack(P.coeffs[::-1]), copy=False) for P in (self.A, self.D))
 
     @cached_property
     def _fit_rows(self) -> tuple:
         from .spaces import _fit_row
         return tuple(map(_fit_row, self._coeff_rows))
 
-    _c1 = _kept_pencil("_companion_parts")
-    _dl = _kept_pencil("_dl_parts", 1.0)
-    _dl_signed = _kept_pencil("_dl_parts", -1.0)  # of the sym and herm members
+    @cached_property
+    def _c1(self) -> tuple:  # (X, Y, v, w) of C1
+        from .spaces import _companion_parts
+        return tuple(_freeze(a, copy=False) for a in _companion_parts(self))
+
+    @cached_property
+    def _dl(self) -> tuple:  # (X, Y, v, w) of DL
+        from .spaces import _dl_parts
+        return tuple(_freeze(a, copy=False) for a in _dl_parts(self, 1.0))
+
+    @cached_property
+    def _dl_signed(self) -> tuple:  # (X, Y, v, w) behind the sym and herm members
+        from .spaces import _dl_parts
+        return tuple(_freeze(a, copy=False) for a in _dl_parts(self, -1.0))
 
     @cached_property
     def _structured(self) -> tuple:

@@ -882,3 +882,23 @@ def test_cli_solve_report_is_built_and_printed_with_the_collector_paused(
         recover = "recover_left" if case == "c2" else "recover_right"
         assert code == 0 and names == ["solve_pencil"] + [recover] * 6 + ["_emit"]
         assert len(json.loads(out)["eigenvectors"]) == 6
+
+
+@pytest.mark.parametrize("source", ["c1", "c2", "dl"])
+def test_cli_build_frees_the_realization_before_writing(tmp_path, monkeypatch, source):
+    # a one-shot build never builds from R again: R and the pencil it keeps are freed
+    # before the pencil file's JSON tree is made
+    import weakref
+
+    import syspencils.cli as cli
+
+    prob, pen = tmp_path / "p.json", tmp_path / f"{source}.json"
+    _write_problem(prob, random_realization(np.random.default_rng(65), 2, 3, 2, 2))
+    refs, alive = [], []
+    build = cli._BUILDERS[source]
+    monkeypatch.setitem(cli._BUILDERS, source, lambda R: refs.append(weakref.ref(R)) or build(R))
+    save = cli.save_pencil
+    monkeypatch.setattr(cli, "save_pencil", lambda *a: alive.append(refs[0]() is not None) or save(*a))
+    assert main(["build", "--input", str(prob), "--output", str(pen), "--source", source]) == 0
+    assert alive == [False]
+    assert np.array_equal(load_pencil(pen).X, cli._BUILDERS[source](load_problem(prob)[0]).X)
