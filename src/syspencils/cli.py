@@ -48,7 +48,8 @@ _EXPLICIT_SPACES = (spaces.SPACE_L1S, spaces.SPACE_L1G, spaces.SPACE_L2G)
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, allow_nan=False) + "\n")  # strict JSON (RFC 8259)
+    # strict JSON (RFC 8259); the trees come from this module's encoders, never cyclic
+    sys.stdout.write(json.dumps(obj, allow_nan=False, check_circular=False) + "\n")
 
 
 def _build_explicit(R, space, options):

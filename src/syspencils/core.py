@@ -290,12 +290,17 @@ class Realization:
         from .spaces import _dl_parts
         return tuple(_freeze(a, copy=False) for a in _dl_parts(self, -1.0))
 
+    def _structured(self, op) -> bool:  # op(A_i) = A_i, op(D_i) = D_i and op(C) = B
+        return max_entry(*(c - op(c) for c in self.A.coeffs + self.D.coeffs),
+                         op(self.C) - self.B) <= 1e-10 * self.scale
+
     @cached_property
-    def _structured(self) -> tuple:
-        """(:func:`is_symmetric_realization`, :func:`is_hermitian_realization`)."""
-        return tuple(max_entry(*(c - op(c) for c in self.A.coeffs + self.D.coeffs),
-                               op(self.C) - self.B) <= 1e-10 * self.scale
-                     for op in (np.transpose, lambda M: M.conj().T))
+    def _symmetric(self) -> bool:  # is_symmetric_realization
+        return self._structured(np.transpose)
+
+    @cached_property
+    def _hermitian(self) -> bool:  # is_hermitian_realization
+        return self._structured(lambda M: M.conj().T)
 
     @property
     def n(self) -> int:
@@ -452,9 +457,9 @@ def transpose_realization(R: Realization) -> Realization:
 
 def is_symmetric_realization(R: Realization) -> bool:
     """True when all A_i, D_i are symmetric and C^T = B, to ``1e-10 R.scale``."""
-    return R._structured[0]
+    return R._symmetric
 
 
 def is_hermitian_realization(R: Realization) -> bool:
     """True when all A_i, D_i are Hermitian and C* = B, to ``1e-10 R.scale``."""
-    return R._structured[1]
+    return R._hermitian

@@ -7,14 +7,15 @@ and reference spectra both come from one eigensolver (see solve_pencil),
 with one finiteness rule and one regularity test (its shift search).
 The two are compared as multisets by a greedy nearest-neighbour
 matching; agreement at tolerance, together with the ansatz residual, is
-the linearization verdict.  Full Z-rank of the reduced diagonal parts
-is reported as the sufficient-condition certificate.
+the linearization verdict.  Full Z-rank of the reduced diagonal parts, the
+sufficient-condition certificate, is computed when a report's ``full_z_rank`` is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -320,7 +321,14 @@ def nonpole_samples(R: Realization, count: int, seed: int = 7) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Outcome of a linearization verification run."""
+    """Outcome of a linearization verification run.
+
+    ``full_z_rank``, ``(full_L, full_K)`` of :func:`z_rank` on the member with the pair that
+    membership fitted ((False, False) after a membership failure or for a zero pair), is
+    computed at its first read and kept.  ``certificate_of`` is what it reads, ``(member,
+    R)`` or None; verify gives the member its own copy of Y (N^2 complex, 2.4 MiB at
+    N = 400), so that later writes to the caller's pencil cannot change the certificate.
+    """
 
     pencil_eigs: np.ndarray
     oracle_roots: np.ndarray
@@ -330,7 +338,21 @@ class SpectralReport:
     verdict: str = "fail"
     reason: str = ""
     ansatz_residual: float = np.inf
-    full_z_rank: tuple = (False, False)
+    certificate_of: InitVar[tuple | None] = None
+
+    def __post_init__(self, certificate_of):
+        # kept under its own name, so dataclasses.replace carries it over
+        object.__setattr__(self, "certificate_of", certificate_of)
+
+    @cached_property
+    def full_z_rank(self) -> tuple:
+        if self.certificate_of is None:
+            return (False, False)
+        try:
+            cert = z_rank(*self.certificate_of)
+        except ZeroAnsatz:
+            return (False, False)
+        return (cert.full_L, cert.full_K)
 
     @property
     def passed(self) -> bool:
@@ -363,12 +385,13 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
 
     Three checks run: (i) the ansatz residual at ten sample points away
     from poles, (ii) the full-Z-rank certificate on both diagonal parts
-    (reported, not required; it is the sufficient condition), and (iii)
-    spectral equivalence, i.e. the finite pencil eigenvalues match the
-    system zeros as multisets at ``tol_eig`` under the scale-aware greedy
-    matching.  The verdict is pass exactly when (i) and (iii) hold.  First,
-    :func:`membership` tests the pencil against its space; the ansatz pair it
-    reads back from X and Y, not the one stored in P, drives (i) and (ii).
+    (reported, not required; it is the sufficient condition, computed when the
+    report's ``full_z_rank`` is first read), and (iii) spectral equivalence,
+    i.e. the finite pencil eigenvalues match the system zeros as multisets at
+    ``tol_eig`` under the scale-aware greedy matching.  The verdict is pass
+    exactly when (i) and (iii) hold.  First, :func:`membership` tests the pencil
+    against its space; the ansatz pair it reads back from X and Y, not the one
+    stored in P, drives (i) and (ii).
     The reference zeros, sample points, their transfer and lift data and the fit rows
     depend on R alone: the first call for an R object computes and keeps them, read-only.
     """
@@ -388,25 +411,21 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     # X and Y carry the pair; P checked them when it was made, and a member's pair is finite
     P, Q = object.__new__(AnsatzPencil), P
     vars(P).update(vars(Q), v=v, w=w)
+    member = object.__new__(AnsatzPencil)  # z_rank reads Y and the (new) fitted pair alone
+    vars(member).update(vars(P), X=None, Y=np.copy(P.Y))
 
     res = residual_ansatz(P, R, R._samples)
-
-    try:
-        cert = z_rank(P, R)
-        flags = (cert.full_L, cert.full_K)
-    except ZeroAnsatz:
-        flags = (False, False)
 
     try:
         eigs = solve_pencil(P.X, P.Y, left=False)
     except SingularSystem:
         return fail("pencil is singular (det vanishes identically)",
-                    ansatz_residual=res, full_z_rank=flags)
+                    ansatz_residual=res, certificate_of=(member, R))
     if eigs.eigenvalues.size != zeros.size:
         return fail(
             f"eigenvalue count mismatch: pencil has {eigs.eigenvalues.size} finite, "
             f"oracle has {zeros.size}",
-            pencil_eigs=eigs.eigenvalues, ansatz_residual=res, full_z_rank=flags)
+            pencil_eigs=eigs.eigenvalues, ansatz_residual=res, certificate_of=(member, R))
 
     pairs, worst = match_multisets(eigs.eigenvalues, zeros)
 
@@ -418,7 +437,7 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
         pencil_eigs=eigs.eigenvalues, oracle_roots=zeros, matching=pairs,
         max_eig_error=worst, eig_residuals=eigs.backward_errors.tolist(),
         verdict="pass" if ok else "fail", reason=reason,
-        ansatz_residual=res, full_z_rank=flags)
+        ansatz_residual=res, certificate_of=(member, R))
 
 
 def lift_right(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:

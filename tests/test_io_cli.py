@@ -280,6 +280,23 @@ def test_cli_sample_empty(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["pass_rate"] is None
 
 
+def test_cli_verify_reads_the_z_rank_certificate_and_sample_does_not(tmp_path, capsys,
+                                                                     monkeypatch):
+    import syspencils.spectra as spectra
+
+    calls, z_rank = [], spectra.z_rank
+    monkeypatch.setattr(spectra, "z_rank", lambda *a: calls.append(a) or z_rank(*a))
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, random_realization(np.random.default_rng(9), 2, 3, 2, 2))
+    assert main(["sample", "--input", str(prob), "--count", "5", "--space", "l1g"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass_rate"] == 1.0
+    assert calls == []  # sample reads the verdicts alone
+    assert main(["build", "--input", str(prob), "--output", str(pen), "--source", "c1"]) == 0
+    assert main(["verify", "--pencil", str(pen), "--input", str(prob)]) == 0
+    assert json.loads(capsys.readouterr().out)["full_z_rank"] == [True, True]
+    assert len(calls) == 1
+
+
 def test_cli_dim(capsys):
     assert main(["dim", "2", "2", "2", "1"]) == 0
     assert json.loads(capsys.readouterr().out) == 14

@@ -41,6 +41,7 @@ from syspencils import (
     transpose_realization,
     verify_linearization,
 )
+from syspencils.core import is_hermitian_realization, is_symmetric_realization
 
 
 def _random_member(rng, R, space=SPACE_L1G):
@@ -667,6 +668,20 @@ def test_structured_builds_of_unstructured_data_raise_and_keep_nothing(space):
         with pytest.raises(StructureError):
             sample_space(R, 0, space)
     assert "_dl_signed" not in vars(R)
+
+
+@pytest.mark.parametrize("kind", ["sym", "herm"])
+def test_each_structure_test_scans_only_its_own_structure(kind):
+    # asking for one structure flag, or building the member that needs it, never
+    # computes the other
+    for asked, kept, other in ((is_symmetric_realization, "_symmetric", "_hermitian"),
+                               (is_hermitian_realization, "_hermitian", "_symmetric")):
+        R = _DATA[kind](np.random.default_rng(64), 2, 3, 2, 2)
+        assert asked(R) == (kept == {"sym": "_symmetric", "herm": "_hermitian"}[kind])
+        assert kept in vars(R) and other not in vars(R)
+    R = _DATA[kind](np.random.default_rng(64), 2, 3, 2, 2)
+    _BUILDERS[kind](R)
+    assert {"sym": "_hermitian", "herm": "_symmetric"}[kind] not in vars(R)
 
 
 @pytest.mark.parametrize("space", ["dl", "sym", "herm"])

@@ -662,6 +662,88 @@ def test_verify_reads_the_ansatz_pair_from_x_and_y(source):
     assert verify_linearization(stale, R).to_dict() == report.to_dict()
 
 
+def _certified_members():
+    rng = np.random.default_rng(17)
+    R = random_realization(rng, 3, 4, 2, 3)
+    Rs, Rh = (make(rng, 2, 3, 2, 2) for make in (random_symmetric_realization,
+                                                 random_hermitian_realization))
+    yield "c1", build_C1(R), R
+    yield "c2", build_C2(R), R
+    yield "dl", build_DL(R), R
+    for space in ("l1g", "l2g", "l1s"):
+        yield space, sample_space(R, 5, space), R
+    yield "sym", build_symmetric(Rs), Rs
+    yield "herm", sample_space(Rh, 5, "herm"), Rh
+
+
+def _count_z_rank(monkeypatch):
+    import syspencils.spectra as spectra
+
+    calls, z_rank_of = [], spectra.z_rank
+    monkeypatch.setattr(spectra, "z_rank", lambda *a: calls.append(a) or z_rank_of(*a))
+    return calls
+
+
+def test_full_z_rank_is_z_rank_of_the_fitted_member_and_computed_once(monkeypatch):
+    # the certificate is what z_rank gives for the pair membership fits; verify
+    # itself never computes it, and the first read keeps it
+    calls = _count_z_rank(monkeypatch)
+    for label, P, R in _certified_members():
+        report = verify_linearization(P, R)
+        assert report.passed and calls == [], label
+        v, w = membership(P.X, P.Y, R, P.space)
+        cert = z_rank(replace(P, v=v, w=w), R)  # this module's own z_rank: not counted
+        assert report.full_z_rank == (cert.full_L, cert.full_K) == (True, True), label
+        assert report.full_z_rank == (True, True)  # a second read
+        assert report.to_dict()["full_z_rank"] == [True, True]
+        assert len(calls) == 1, label
+        assert replace(report, reason="copied").full_z_rank == (True, True)
+        calls.clear()
+        verify_linearization(P, R).to_dict()
+        assert len(calls) == 1, label
+        calls.clear()
+
+
+def test_full_z_rank_does_not_see_later_writes_to_the_pencil():
+    R = random_realization(np.random.default_rng(18), 2, 3, 2, 2)
+    for P in (build_C1(R), build_C2(R)):
+        report = verify_linearization(P, R)
+        P.X[...] = 0.0
+        P.Y[...] = 0.0  # a report holding a view of Y would rank Z as 0
+        assert report.full_z_rank == (True, True)
+        assert z_rank(P, R).full_L is False
+
+
+def _small_leading_coefficients():
+    # A_m and D_k at 1e-9 of the rest: C1 sees eigenvalues the reference calls infinite
+    R = random_realization(np.random.default_rng(0), 1, 2, 2, 1)
+    return Realization(A=MatrixPolynomial((R.A.coeffs[0], 1e-9 * R.A.coeffs[1])), B=R.B,
+                       C=R.C, D=MatrixPolynomial(R.D.coeffs[:-1] + (1e-9 * R.D.coeffs[-1],)))
+
+
+def test_full_z_rank_on_every_fail_path(r1, monkeypatch):
+    rng = np.random.default_rng(2)
+    R = random_realization(rng, 2, 2, 2, 1)
+    Rz = Realization(A=MatrixPolynomial((R.A.coeffs[0], R.A.coeffs[1], np.zeros((2, 2)))),
+                     B=R.B, C=R.C, D=R.D)  # the benchmark's dl-zero-Am case
+    Rc = _small_leading_coefficients()
+    calls = _count_z_rank(monkeypatch)
+    cases = [  # (report, reason it starts with, flags, z_rank calls on reading them)
+        (verify_linearization(replace(build_C1(R), space="l2g"), R), "membership",
+         (False, False), 0),
+        (verify_linearization(build_pencil_L1(r1, [0.0], [0.0]), r1), "pencil is singular",
+         (False, False), 1),  # ZeroAnsatz
+        (verify_linearization(build_DL(Rz), Rz), "pencil is singular", (False, True), 1),
+        (verify_linearization(build_C1(Rc), Rc), "eigenvalue count mismatch", (True, True), 1),
+    ]
+    assert calls == []
+    for report, reason, flags, reads in cases:
+        assert report.reason.startswith(reason)
+        assert report.full_z_rank == flags and report.to_dict()["full_z_rank"] == list(flags)
+        assert len(calls) == reads, reason
+        calls.clear()
+
+
 def test_verify_dl_with_zero_leading_coefficient_fails():
     rng = np.random.default_rng(2)
     R = random_realization(rng, 2, 2, 2, 1)
