@@ -34,13 +34,7 @@ from .errors import (
     StructureError,
     ZeroAnsatz,
 )
-from .shiftsum import (
-    block_shift_sum,
-    block_transpose,
-    col_shift_sum,
-    is_block_symmetric,
-    row_shift_sum,
-)
+from .shiftsum import block_shift_sum, col_shift_sum, row_shift_sum
 from .spaces import (
     SPACE_DL,
     SPACE_HERM,

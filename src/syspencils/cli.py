@@ -60,6 +60,11 @@ def _build_explicit(R, space, options):
     w = decode_vector(ansatz.get("w"), "options.ansatz.w")
     W = decode_matrix(ansatz["W"], "options.ansatz.W") if ansatz.get("W") else None
     W1 = decode_matrix(ansatz["W1"], "options.ansatz.W1") if ansatz.get("W1") else None
+    m, n, k, r = R.m, R.n, R.k, R.r
+    for name, a, shape in (("v", v, (m,)), ("w", w, (k,)), ("W", W, (m * n, (m - 1) * n)),
+                           ("W1", W1, (k * r, (k - 1) * r))):
+        if a is not None and a.shape != shape:
+            raise ValueError(f"options.ansatz.{name} must have shape {shape}, got {a.shape}")
     if space == spaces.SPACE_L2G:
         return spaces.build_pencil_L2(R, v, w, W, W1)
     return spaces.build_pencil_L1(R, v, w, W, W1, space=space)
@@ -118,18 +123,19 @@ def cmd_build(args) -> int:
     if args.space is not None and args.source != "explicit":
         raise ValueError(f"--space applies to --source explicit only; "
                          f"{args.source!r} fixes its own space")
-    with _reading():
+    with _reading():  # an explicit pencil is input: the problem file fixes all of it
         R, options = load_problem(args.input)
-    if args.source == "explicit":
-        P = _build_explicit(R, args.space or spaces.SPACE_L1G, options)
-    else:
+        if args.source == "explicit":
+            P = _build_explicit(R, args.space or spaces.SPACE_L1G, options)
+    if args.source != "explicit":
         P = _BUILDERS[args.source](R)
-    specs = _basis_specs(args.basis, P, R)
-    del R  # and the pencil it keeps: not read again while the file is written
-    if specs:
-        from .basis import _change_basis
+    with _reading():  # a singular --basis, as on verify and solve
+        specs = _basis_specs(args.basis, P, R)
+        del R  # and the pencil it keeps: not read again while the file is written
+        if specs:
+            from .basis import _change_basis
 
-        P = _change_basis(P, *specs, to_monomial=False)
+            P = _change_basis(P, *specs, to_monomial=False)
     save_pencil(args.output, P)
     return EXIT_PASS
 

@@ -344,16 +344,14 @@ def build_system_matrix(R: Realization) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(coeffs))
 
 
-def numerical_rank(M: np.ndarray, rtol: float, floor: float = 1.0):
-    """Number of singular values of ``M`` above ``rtol * max(sigma_max, floor)``.
+def numerical_rank(M: np.ndarray, rtol: float, floor: float = 1.0) -> int:
+    """Number of singular values of the matrix ``M`` above ``rtol * max(sigma_max, floor)``.
 
-    A stack of matrices gives one rank per matrix (an integer array) from one
-    SVD call.  The rank rule of the sampler, the basis check and the Z-rank;
-    the pole guard and the eigensolver's regularity test read the probe
-    estimate of :func:`probe_solve` instead."""
+    The rank rule of the basis check and the Z-rank.  Every near-singularity
+    decision about A(lambda) (the sampler and the pole guard) and the eigensolver's
+    regularity test read the probe estimate of :func:`probe_solve` instead."""
     sv = np.linalg.svd(M, compute_uv=False)
-    ranks = (sv > rtol * np.maximum(sv[..., :1], floor)).sum(axis=-1)
-    return ranks if M.ndim > 2 else int(ranks)
+    return int((sv > rtol * max(sv[0], floor)).sum())
 
 
 #: Stored entries of the unit-modulus probe column ``g_j = exp(i j^2)``: a chirp,

@@ -5,9 +5,9 @@ ansatz space of a realization when its block column shifted sum reproduces
 the coefficient rows of A and D tensored with a pair of ansatz vectors
 (v, w), with the constant blocks B and C pinned to the trailing block
 column of the off-diagonal quadrants.  The second space is the transpose
-dual; their intersection is a single pencil (up to scale), which is
-block-symmetric and, for symmetric or Hermitian data, has an elementwise
-structured representative.
+dual; their intersection is a single pencil (up to scale), the double-ansatz
+member, which for symmetric or Hermitian data has an elementwise structured
+representative.
 
 Sign convention
 ---------------
@@ -251,9 +251,10 @@ def build_DL(R: Realization) -> AnsatzPencil:
 
     Both diagonal partitions are anti-Hankel stacks of the high-order
     coefficients; the constant blocks sit in the last block row and column
-    of each partition.  The result is block-symmetric, satisfies the
-    first-space identity with (e_m, e_k) and the second-space identity
-    with the same pair.  A fresh copy of the pencil kept on R.
+    of each partition.  The result satisfies the first-space identity with
+    (e_m, e_k) and the second-space identity with the same pair; block symmetry
+    alone does not (DL times b on the bottom partition has it for every b), so
+    :func:`membership` fits both.  A fresh copy of the pencil kept on R.
     """
     return _one_dimensional(R, SPACE_DL)
 

@@ -302,21 +302,28 @@ def nonpole_samples(R: Realization, count: int, seed: int = 7) -> np.ndarray:
     """Deterministic sample points on an annulus, away from poles of G.
 
     Point j > seed of a Kronecker sequence has radius ``0.4 + 1.2 frac(j phi)``
-    (phi the golden ratio) and angle ``2 pi frac(j sqrt 2)``.  Points where A(lambda)
-    has numerical rank below n at relative tolerance 1e-3 (``sigma_min <= 1e-3
-    max(sigma_max, max_j |A_j|)``: the floor is the data's own scale, so the points do
-    not change when A is scaled) are skipped, so downstream solves stay well
-    conditioned.  The candidates are drawn and rank-tested ``count`` at a time, with
-    one stacked SVD per chunk, up to ``200 count`` in all.
+    (phi the golden ratio) and angle ``2 pi frac(j sqrt 2)``.  A candidate is kept when
+    the probe reciprocal condition estimate of A(lambda) (:func:`probe_solve`, with
+    ``||A(lambda)||_1`` floored at the data's own scale ``max_j |A_j|``, so the points
+    do not change when A is scaled) is above 1e-3, so downstream solves stay well
+    conditioned; the pole guard reads the same estimate.  An exactly zero pivot
+    rejects its own candidate.  The candidates are tested one at a time, up to
+    ``200 count`` in all.
     """
-    floor, out, step = R.A.scale, [], max(count, 1)
-    for start in range(seed + 1, seed + 1 + 200 * step, step):
-        j = np.arange(start, start + count, dtype=float)
-        lam = (0.4 + 1.2 * (j * 1.618033988749895 % 1)) * np.exp(2j * np.pi * (j * 2**0.5 % 1))
-        out.extend(lam[numerical_rank(eval_polymat(R.A, lam[:, None, None]), 1e-3, floor) == R.n])
-        if len(out) >= count:
-            return np.array(out[:count], dtype=complex)
-    raise InterpolationError("could not find enough sample points away from poles")
+    out, no_rhs = [], np.empty((R.n, 0))
+    with np.errstate(all="ignore"):  # an A(lambda) that overflows reads rcond 0
+        for j in range(seed + 1, seed + 1 + 200 * count):
+            if len(out) == count:
+                break
+            lam = (0.4 + 1.2 * (j * 1.618033988749895 % 1)) * np.exp(2j * np.pi * (j * 2**0.5 % 1))
+            try:
+                if probe_solve(eval_polymat(R.A, lam), no_rhs, R.A.scale)[1] > 1e-3:
+                    out.append(lam)
+            except np.linalg.LinAlgError:
+                pass
+    if len(out) < count:
+        raise InterpolationError("could not find enough sample points away from poles")
+    return np.array(out, dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -110,11 +110,13 @@ def qz_eigvals(X, Y, left=False, right=False) -> np.ndarray:
 
 
 def nonpole_samples_per_point(R: Realization, count: int, seed: int = 7) -> np.ndarray:
-    """The sampler's points from a generator, one SVD of A(lambda) per candidate.
+    """The former sampler rule, one SVD of A(lambda) per candidate.
 
     Candidate j = seed + 1, seed + 2, ... is kept when every singular value is
     above ``1e-3 max(sigma_max, max_j |A_j|)``, up to 200 count candidates: the
     floor is the data's own scale, so the points do not change when A is scaled.
+    The sampler now reads the probe estimate of A(lambda) instead; this rank test
+    is kept to show that both keep the same points on small cases.
     """
     from itertools import islice
 

@@ -16,7 +16,7 @@ from syspencils import (
     padded_identity,
     transpose_realization,
 )
-from syspencils.core import numerical_rank, solve_state, solve_state_left
+from syspencils.core import solve_state, solve_state_left
 
 
 def test_eval_polymat_constant():
@@ -52,19 +52,6 @@ def test_lambda_vector_of_an_array_of_points():
         assert rows.shape == (lams.size, d)
         for lam, row in zip(lams, rows):
             assert lambda_vector(d, lam).tobytes() == row.tobytes()
-
-
-def test_numerical_rank_of_a_stack_equals_per_matrix_calls():
-    rng = np.random.default_rng(4)
-    for n in (1, 2, 4):
-        stack = cgauss(rng, 12, n, n) * 10.0 ** rng.uniform(-6, 3, size=(12, 1, 1))
-        stack[::3, :, -1] = 0.0  # rank-deficient members
-        stack[5] = 0.0
-        for rtol, floor in ((1e-3, 1.0), (1e-10, 1e-30), (1e-3, 1e-5)):
-            ranks = numerical_rank(stack, rtol, floor)
-            assert ranks.shape == (12,)
-            assert ranks.tolist() == [numerical_rank(M, rtol, floor) for M in stack]
-            assert all(type(numerical_rank(M, rtol, floor)) is int for M in stack)
 
 
 def test_padded_identity():

@@ -494,17 +494,43 @@ def test_cli_malformed_structure_is_input_error(tmp_path, case, field):
 
 @pytest.mark.parametrize("field, length", [("v", 1), ("v", 3), ("w", 1)])
 def test_cli_wrong_ansatz_vector_length_is_input_error(tmp_path, field, length):
+    # m = k = 2: an explicit ansatz vector of another length is an input error
+    # that names its field, in either space an explicit pencil can be built in
     R = random_realization(np.random.default_rng(4), 2, 2, 2, 1)
-    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
-    _write_problem(prob, R)
-    obj = pencil_to_dict(build_C1(R))
-    obj[field] = encode_vector(np.ones(length))
-    save_json(pen, obj)
-    for verb in ("verify", "solve"):
-        done = _run_cli(verb, "--pencil", str(pen), "--input", str(prob))
-        assert done.returncode == 2, (verb, done.stdout)
-        assert f"error: AnsatzPencil.{field}" in done.stderr
+    ansatz = {"v": encode_vector(np.ones(2)), "w": encode_vector(np.ones(2))}
+    ansatz[field] = encode_vector(np.ones(length))
+    prob = tmp_path / "p.json"
+    _write_problem(prob, R, {"ansatz": ansatz})
+    for space in ("l1g", "l2g"):
+        done = _run_cli("build", "--input", str(prob), "--output", str(tmp_path / "x.json"),
+                        "--source", "explicit", "--space", space)
+        assert done.returncode == 2, (space, done.stderr)
+        assert f"error: options.ansatz.{field} must have shape" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("field", ["W", "W1"])
+def test_cli_wrong_free_block_shape_is_input_error(tmp_path, field, capsys):
+    R = random_realization(np.random.default_rng(4), 2, 2, 2, 1)  # W is 4 x 2, W1 2 x 1
+    ansatz = {"v": encode_vector(np.ones(2)), "w": encode_vector(np.ones(2)),
+              field: encode_matrix(np.ones((3, 3)))}
+    prob = tmp_path / "p.json"
+    _write_problem(prob, R, {"ansatz": ansatz})
+    assert main(["build", "--input", str(prob), "--output", str(tmp_path / "x.json"),
+                 "--source", "explicit"]) == 2
+    assert f"error: options.ansatz.{field} must have shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["build", "verify", "solve"])
+def test_cli_singular_basis_is_input_error_on_every_verb(tmp_path, capsys, verb):
+    # degree 3 reads two newton nodes: equal ones make a singular basis
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, random_realization(np.random.default_rng(8), 3, 2, 2, 1))
+    assert main(["build", "--input", str(prob), "--output", str(pen)]) == 0
+    files = (["--input", str(prob), "--output", str(tmp_path / "x.json")] if verb == "build"
+             else ["--pencil", str(pen), "--input", str(prob)])
+    assert main([verb, *files, "--basis", "newton:1,1"]) == 2
+    assert "duplicate newton nodes" in capsys.readouterr().err
 
 
 def test_build_and_dim_do_not_load_scipy(tmp_path):

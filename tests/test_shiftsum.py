@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
-from conftest import cgauss, random_realization
+from conftest import cgauss
 
 from syspencils import (
     BlockDims,
     DimensionError,
     block_shift_sum,
-    block_transpose,
-    build_C1,
-    build_DL,
     col_shift_sum,
-    is_block_symmetric,
     row_shift_sum,
 )
 
@@ -72,81 +68,3 @@ def test_block_shift_sum_zero_and_bilinear():
     lhs = block_shift_sum(X1 + X2, Y1 + Y2, dims)
     rhs = block_shift_sum(X1, Y1, dims) + block_shift_sum(X2, Y2, dims)
     assert np.allclose(lhs, rhs)
-
-
-def test_block_transpose_fixed_point_on_symmetric_grids():
-    dims = BlockDims(2, 1, 2, 1)
-    rng = np.random.default_rng(2)
-    top = cgauss(rng, 2, 2)
-    top = top + top.T  # symmetric 1x1-block grid
-    bot = cgauss(rng, 2, 2)
-    bot = bot + bot.T
-    M = np.zeros((4, 4), dtype=complex)
-    M[:2, :2] = top
-    M[2:, 2:] = bot
-    assert np.allclose(block_transpose(M, dims), M)
-
-
-def _structured_random(rng, dims):
-    mn, kr = dims.top, dims.bottom
-    M = np.zeros((dims.size, dims.size), dtype=complex)
-    M[:mn, :mn] = cgauss(rng, mn, mn)
-    M[mn:, mn:] = cgauss(rng, kr, kr)
-    M[:mn, mn:] = np.kron(np.outer(cgauss(rng, dims.m), cgauss(rng, dims.k)),
-                          cgauss(rng, dims.n, dims.r))
-    M[mn:, :mn] = np.kron(np.outer(cgauss(rng, dims.k), cgauss(rng, dims.m)),
-                          cgauss(rng, dims.r, dims.n))
-    return M
-
-
-def test_block_transpose_involution():
-    # off-diagonal quadrants must be grid-rank-one, the class on which the
-    # operation is defined
-    rng = np.random.default_rng(3)
-    for dims in (BlockDims(2, 2, 2, 1), BlockDims(3, 1, 2, 2), BlockDims(1, 2, 3, 1)):
-        M = _structured_random(rng, dims)
-        assert np.allclose(block_transpose(block_transpose(M, dims), dims), M)
-
-
-def test_block_transpose_moves_grid_blocks(r2):
-    # m = 2, n = 1, k = 1, r = 1: top-left grid position (2, 1) moves to (1, 2)
-    P = build_C1(r2)
-    dims = BlockDims(2, 1, 1, 1)
-    BT = block_transpose(P.Y, dims)
-    assert BT[0, 1] == P.Y[1, 0]
-    assert BT[1, 0] == P.Y[0, 1]
-
-
-def test_is_block_symmetric():
-    dims = BlockDims(2, 1, 1, 1)
-    assert is_block_symmetric(np.eye(3), dims)
-    rng = np.random.default_rng(4)
-    R = random_realization(rng, 2, 1, 1, 1)
-    assert not is_block_symmetric(build_C1(R).Y, dims)
-    # the tolerance is at the scale of the matrix itself
-    assert not is_block_symmetric(1e-11 * build_C1(R).Y, dims)
-
-
-def test_dl_pencil_is_block_symmetric():
-    rng = np.random.default_rng(5)
-    for (m, n, k, r) in ((2, 2, 2, 1), (3, 1, 2, 2), (1, 2, 3, 1)):
-        R = random_realization(rng, m, n, k, r)
-        P = build_DL(R)
-        dims = BlockDims(m, n, k, r)
-        assert is_block_symmetric(P.X, dims)
-        assert is_block_symmetric(P.Y, dims)
-
-
-def test_block_transpose_maps_second_companion_to_first():
-    # the grid transpose swaps the column-stacked companion layout into the
-    # row-stacked one; the off-diagonal pattern swap moves B and C along
-    from syspencils import build_C2
-
-    rng = np.random.default_rng(6)
-    for (m, n, k, r) in ((2, 2, 2, 1), (3, 1, 3, 2), (2, 2, 1, 1)):
-        R = random_realization(rng, m, n, k, r)
-        dims = BlockDims(m, n, k, r)
-        C2 = build_C2(R)
-        C1 = build_C1(R)
-        assert np.allclose(block_transpose(C2.X, dims), C1.X, atol=1e-13)
-        assert np.allclose(block_transpose(C2.Y, dims), C1.Y, atol=1e-13)

@@ -181,20 +181,31 @@ def test_dl_satisfies_both_identities_and_membership():
 
 
 def test_dl_membership_tests_the_second_space_half():
-    # a first-space member with the double-ansatz pair (e_m, e_k) but random free
-    # blocks: its transposes are no first-space members of the transpose data
+    # first-space members whose transposes are no first-space members of the
+    # transpose data: one with the double-ansatz pair (e_m, e_k) but random free
+    # blocks, and one with the pair (e_m, b e_k) and DL's free blocks, the bottom one
+    # times b.  The latter is DL with its bottom partition times b: its block layout
+    # is that of DL, so a dl check that reads block symmetry alone accepts it
     from dataclasses import replace
 
     rng = np.random.default_rng(31)
-    for (m, n, k, r) in ((2, 2, 2, 1), (3, 1, 2, 2)):
+    for (m, n, k, r) in ((2, 2, 2, 1), (3, 1, 2, 2), (2, 1, 3, 1)):
         R = random_realization(rng, m, n, k, r)
-        P = build_pencil_L1(R, np.eye(m)[-1], np.eye(k)[-1],
-                            cgauss(rng, m * n, (m - 1) * n), cgauss(rng, k * r, (k - 1) * r))
-        membership(P.X, P.Y, R, SPACE_L1G)
-        with pytest.raises(NotAMember):
-            membership(P.X, P.Y, R, SPACE_DL)
-        assert verify_linearization(replace(P, space=SPACE_DL), R).reason.startswith(
-            "membership: ")
+        dl, t, b = build_DL(R), m * n, complex(*rng.standard_normal(2))
+        scaled = build_pencil_L1(R, np.eye(m)[-1], b * np.eye(k)[-1],
+                                 dl.X[:t, n:t], b * dl.X[t:, t + r:])
+        for M in (dl.X, dl.Y):
+            M[t:] *= b
+        assert np.allclose(scaled.X, dl.X) and np.allclose(scaled.Y, dl.Y)
+        random_blocks = build_pencil_L1(R, np.eye(m)[-1], np.eye(k)[-1],
+                                        cgauss(rng, m * n, (m - 1) * n),
+                                        cgauss(rng, k * r, (k - 1) * r))
+        for P in (random_blocks, scaled):
+            membership(P.X, P.Y, R, SPACE_L1G)
+            with pytest.raises(NotAMember):
+                membership(P.X, P.Y, R, SPACE_DL)
+            assert verify_linearization(replace(P, space=SPACE_DL), R).reason.startswith(
+                "membership: ")
         dl = build_DL(R)
         v, w = membership(dl.X, dl.Y, R, SPACE_DL)
         assert np.allclose(v, np.eye(m)[-1], atol=1e-12)

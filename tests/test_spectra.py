@@ -531,10 +531,11 @@ def _kronecker_point(j: int) -> complex:
     return (0.4 + 1.2 * (j * 1.618033988749895 % 1)) * np.exp(2j * np.pi * (j * 2**0.5 % 1))
 
 
-def test_nonpole_samples_equal_the_per_point_generator():
+def test_probe_rule_keeps_the_points_of_the_former_svd_rule():
+    # on these desk cases the probe estimate of A(lambda) keeps the points that the
+    # former stacked-SVD rank test kept; A(lambda) = (lambda - p8)(lambda - p10)
+    # vanishes at candidates 8 and 10 of seed 7
     rng = np.random.default_rng(21)
-    # A(lambda) = (lambda - p8)(lambda - p10) vanishes at candidates 8 and 10
-    # of seed 7, so the first chunk of three keeps one point and the next two
     p8, p10 = _kronecker_point(8), _kronecker_point(10)
     rejecting = Realization(A=MatrixPolynomial.from_scalars(p8 * p10, -(p8 + p10), 1),
                             B=np.ones((1, 1)), C=np.ones((1, 1)),
@@ -550,9 +551,29 @@ def test_nonpole_samples_equal_the_per_point_generator():
     assert nonpole_samples(rejecting, 0).size == 0
 
 
+def test_nonpole_samples_reject_only_an_exactly_singular_candidate():
+    # A(lambda) = lambda - p8 is exactly 0 at candidate 8 of seed 7: its zero
+    # pivot rejects that candidate, and the next ten are kept
+    p8 = _kronecker_point(8)
+    R = Realization(A=MatrixPolynomial.from_scalars(-p8, 1), B=np.ones((1, 1)),
+                    C=np.ones((1, 1)), D=MatrixPolynomial.from_scalars(0, 1))
+    assert eval_polymat(R.A, p8)[0, 0] == 0.0
+    expected = np.array([_kronecker_point(j) for j in range(9, 19)])
+    assert nonpole_samples(R, 10).tobytes() == expected.tobytes()
+
+
+def test_nonpole_samples_make_no_svd(monkeypatch):
+    # the sampler reads the probe estimate of probe_solve, as the pole guard does
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    R = random_realization(np.random.default_rng(22), 2, 3, 2, 2)
+    assert nonpole_samples(R, 10).size == 10 and R._samples.size == 10
+    assert calls == []
+
+
 def test_verify_data_of_small_scale():
-    # the sampler's rank floor is max_j |A_j|: floored at 1, every A(lambda)
-    # of these data read as singular and verify found no sample point
+    # the sampler floors ||A(lambda)||_1 at max_j |A_j|: floored at 1, every
+    # A(lambda) of these data read as singular and verify found no sample point
     R = Realization(A=MatrixPolynomial.from_scalars(-2e-4, 1e-4), B=np.ones((1, 1)),
                     C=np.ones((1, 1)), D=MatrixPolynomial.from_scalars(0, 1))
     assert nonpole_samples(R, 10).size == 10
