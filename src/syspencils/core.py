@@ -414,19 +414,30 @@ def _kron_col(v: np.ndarray, K: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-3] + (-1, K.shape[-1]))
 
 
-def _lift(R: Realization, lam, rhs: np.ndarray):
-    """``[Lambda_m kron A(lambda)^{-1} B rhs ; Lambda_k kron rhs]`` and ``G(lambda) rhs``
-    from one :func:`solve_state`, Lambda_d the powers of :func:`lambda_vector`.
-
-    ``rhs`` is a vector or a matrix.  A 1-D array of points stacks both results along a
-    first axis.  A left null vector y of G is the conjugate of a right one of G^T, so the
-    left lift of y is the conjugated lift of conj(y) on :func:`transpose_realization`."""
-    col, powers = rhs.reshape(rhs.shape[0], -1), lambda_vector(max(R.m, R.k), lam)
+def _solve_lift(R: Realization, lam, col: np.ndarray):
+    """``(F, G)``: ``F = A(lambda)^{-1} B col`` from one :func:`solve_state` and
+    ``G = C F + D(lambda) col``, ``G(lambda) col``, for a matrix ``col`` of r rows
+    (DimensionError otherwise).  A 1-D array of points stacks both along a first axis."""
+    if col.shape[0] != R.r:
+        raise DimensionError(f"vector length must be {R.r}, got {col.shape[0]}")
     at = lam[:, None, None] if isinstance(lam, np.ndarray) and lam.ndim == 1 else lam
     F = solve_state(R, lam, R.B @ col)
-    G = R.C @ F + eval_polymat(R.D, at) @ col
-    L = np.concatenate([_kron_col(powers[..., -R.m:], F), _kron_col(powers[..., -R.k:], col)], -2)
-    return (L, G) if rhs.ndim > 1 else (L[..., 0], G[..., 0])
+    return F, R.C @ F + eval_polymat(R.D, at) @ col
+
+
+def _assemble_lift(R: Realization, lam, F: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The lift ``[Lambda_m kron F ; Lambda_k kron col]``, Lambda_d the powers of
+    :func:`lambda_vector`, from the ``F`` that :func:`_solve_lift` returns for ``col``."""
+    powers = lambda_vector(max(R.m, R.k), lam)
+    return np.concatenate([_kron_col(powers[..., -R.m:], F), _kron_col(powers[..., -R.k:], col)], -2)
+
+
+def _lift(R: Realization, lam, col: np.ndarray):
+    """The lift of ``col`` and ``G(lambda) col``: :func:`_solve_lift`, then
+    :func:`_assemble_lift`.  A left null vector y of G is the conjugate of a right one of
+    G^T, so the left lift of y is the conjugated lift of conj(y) on the transpose."""
+    F, G = _solve_lift(R, lam, col)
+    return _assemble_lift(R, lam, F, col), G
 
 
 def eval_transfer(R: Realization, lam: complex) -> np.ndarray:

@@ -22,7 +22,9 @@ import numpy as np
 from .core import (
     BlockDims,
     Realization,
+    _assemble_lift,
     _lift,
+    _solve_lift,
     eval_polymat,
     max_entry,
     numerical_rank,
@@ -111,11 +113,16 @@ def pencil_eigvals(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a vector, the Frobenius norm of a matrix, safe from overflow and
-    underflow; np.linalg.norm costs more than the work at pencil sizes."""
+    underflow; np.linalg.norm costs more than the work at pencil sizes.  NaN exactly when
+    an entry is NaN or infinite: finite entries whose norm overflows give inf.  Only a
+    norm that is not a positive float looks at the entries again."""
     norm = math.sqrt(np.vdot(v, v).real)  # NaN when complex products overflow
     if not 0.0 < norm < math.inf and v.any():
-        big = float(np.max(np.abs(v)))
-        norm = big * math.sqrt(np.vdot(v / big, v / big).real)
+        if not np.isfinite(v).all():
+            return math.nan
+        with np.errstate(over="ignore"):  # the modulus of a finite entry can overflow
+            big = float(np.max(np.abs(v)))
+        norm = big * math.sqrt(np.vdot(v / big, v / big).real) if big < math.inf else math.inf
     return norm
 
 
@@ -132,7 +139,8 @@ def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
     error of at most ``10 N eps``; else, or when eig fails, QZ on (Y, -X)
     does.  This is the package's one eigensolver and its one regularity
     test: SingularSystem when no shift sigma passes the condition test of
-    :func:`_shift_invert`.  scipy is imported only for the QZ fallback.
+    :func:`_shift_invert`.  ValueError names X or Y when it has a NaN or infinite entry.
+    scipy is imported only for the QZ fallback.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
@@ -163,15 +171,19 @@ def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool):
     the first shift whose probe reciprocal condition estimate is above 1e-8 (None if
     eig fails).  The shifts are ``SHIFT_POINTS`` times ``||Y||_F / ||X||_F``, then the
     same unscaled, which rescues regular pencils whose blocks differ much in scale;
-    SingularSystem when none qualifies.
+    SingularSystem when none qualifies.  The two norms also tell a non-finite X or Y
+    (ValueError); when a norm of finite entries overflows, only the unscaled shifts run.
 
     ``M u = mu u`` and ``z* M = mu z*`` give ``lambda = (sigma mu - 1) / mu`` with
     right vector u and left vector ``(sigma X + Y)^{-H} z``.  The ``z*`` are the
     rows of ``U^{-1}``, so the left vectors are the columns of ``((sigma X + Y) U)^{-H}``.
     """
     norm_x, norm_y = _norm(X), _norm(Y)
+    for name, norm in (("X", norm_x), ("Y", norm_y)):
+        if math.isnan(norm):
+            raise ValueError(f"pencil.{name} must be finite")
     rho = norm_y / norm_x if norm_x > 0.0 and norm_y > 0.0 else 1.0
-    scales = (rho, 1.0) if rho != 1.0 else (1.0,)
+    scales = (rho, 1.0) if rho != 1.0 and 0.0 < rho < math.inf else (1.0,)
     for sigma in (c * s for c in scales for s in SHIFT_POINTS):
         K = sigma * X + Y
         try:
@@ -452,7 +464,7 @@ def lift_right(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
 
     Returns ``[Lambda_{m-1} kron A(lam0)^{-1} B x ; Lambda_{k-1} kron x]``.
     """
-    return _lift(R, lam0, np.asarray(x, dtype=complex).reshape(-1))[0]
+    return _lift(R, lam0, np.asarray(x, dtype=complex).reshape(-1, 1))[0][:, 0]
 
 
 def lift_left(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
@@ -468,11 +480,31 @@ class RecoveredVector:
     ``x`` is unit norm, read from the largest bottom block (:func:`recover_right`);
     ``transfer_residual`` is ``||G(lam0) x||`` for a right vector and ``||x* G(lam0)||``
     for a left one, from the solve with A(lam0) that lifts ``x``.
+
+    ``structural_residual``, the distance ``||c u - L||`` of the pencil vector u to the
+    lift L of x at the best scale c, is computed at its first read and kept (NaN when
+    ``lifted_from`` is None).  ``lifted_from`` is what it reads, ``(u, lam0, F, x, R)`` of
+    the right-side recovery (on the transpose realization for a left vector): the
+    recovery's own copies of u and of x as a column, and its ``F = A(lam0)^{-1} B x``, so
+    the read assembles L without a second solve.
     """
 
     x: np.ndarray
-    structural_residual: float
     transfer_residual: float
+    lifted_from: InitVar[tuple | None] = None
+
+    def __post_init__(self, lifted_from):
+        # kept under its own name, so dataclasses.replace carries it over
+        object.__setattr__(self, "lifted_from", lifted_from)
+
+    @cached_property
+    def structural_residual(self) -> float:
+        if self.lifted_from is None:
+            return math.nan
+        u, lam0, F, col, R = self.lifted_from
+        L = _assemble_lift(R, lam0, F, col)[:, 0]
+        c = np.vdot(u, L) / _norm(u) ** 2
+        return _norm(c * u - L)
 
 
 def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
@@ -482,9 +514,13 @@ def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
     The bottom partition of ``u`` is ``Lambda_{k-1}(lam0) kron x``: x is its block of
     largest norm divided by that block's power of lam0 (the trailing block when
     ``|lam0| <= 1``), at unit norm (DegenerateVector when that block is negligible).
-    The structural residual is the distance of ``u`` to the lifted form at the best scale.
+    One guarded solve with A(lam0) gives the transfer residual; the structural residual
+    is computed from what the recovery keeps when it is read (:class:`RecoveredVector`).
+    DimensionError when ``dims`` are not ``R.dims`` or u does not have their size.
     """
-    u = np.asarray(u, dtype=complex).reshape(-1)
+    if dims != R.dims:
+        raise DimensionError(f"block dims {dims} do not match the realization's {R.dims}")
+    u = np.array(u, dtype=complex).reshape(-1)  # a copy: the structural residual reads it
     if u.shape != (dims.size,):
         raise DimensionError(f"vector length must be {dims.size}")
     norm_u = _norm(u)
@@ -497,29 +533,30 @@ def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
     if norm_j <= 1e-12 * norm_u or not 1e-300 <= abs(power) < math.inf:
         raise DegenerateVector("no block of the bottom partition is usable")
     x = blocks[j] / (norm_j * power / abs(power))  # unit norm
-    L, Gx = _lift(R, lam0, x)
-    c = np.vdot(u, L) / norm_u ** 2
-    return RecoveredVector(x=x, structural_residual=_norm(c * u - L),
-                           transfer_residual=_norm(Gx))
+    col = x.reshape(-1, 1)
+    F, Gx = _solve_lift(R, lam0, col)
+    return RecoveredVector(x=x, transfer_residual=_norm(Gx[:, 0]),
+                           lifted_from=(u, lam0, F, col.copy(), R))
 
 
 def recover_left(u: np.ndarray, dims: BlockDims, R: Realization,
                  lam0: complex) -> RecoveredVector:
     """Left analogue of :func:`recover_right`: a left pencil eigenvector u of a second-space
     member lifts ``y`` with ``y* G(lam0) = 0``, so ``conj(u)`` lifts ``conj(y)`` on
-    :func:`transpose_realization`.  ``x`` is y and ``transfer_residual`` is ``||y* G(lam0)||``."""
+    :func:`transpose_realization`.  ``x`` is y and ``transfer_residual`` is ``||y* G(lam0)||``;
+    the structural residual, read later, is that of ``conj(u)`` on the transpose."""
     rec = recover_right(np.conj(u), dims, R._transpose, lam0)
-    return RecoveredVector(rec.x.conj(), rec.structural_residual, rec.transfer_residual)
+    return RecoveredVector(rec.x.conj(), rec.transfer_residual, rec.lifted_from)
 
 
 def f_map(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
     """Null-space map ``x -> [A(lam0)^{-1} B x ; x]``: the blocks of :func:`lift_right`
-    that multiply lam0^0.
+    that multiply lam0^0, from the solve alone.
 
     Sends right null vectors of G(lam0) to right null vectors of S(lam0).
     """
-    lifted, t = lift_right(R, x, lam0), R.m * R.n
-    return np.concatenate([lifted[t - R.n:t], lifted[-R.r:]])
+    col = np.asarray(x, dtype=complex).reshape(-1, 1)
+    return np.concatenate([_solve_lift(R, lam0, col)[0][:, 0], col[:, 0]])
 
 
 def g_map(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:

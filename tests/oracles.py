@@ -7,12 +7,20 @@ zeros of det P come from its scalar interpolant, never from a pencil;
 reference pencil eigenvalues come from scipy's QZ, never from the
 package's shift-and-invert path.  The per-point loops below are the
 references of the stacked sampler and l1s residual, and the row-by-row
-greedy loop that of the matching.
+greedy loop that of the matching.  The eager structural residual is the
+formula recovery evaluated before the residual was computed on read.
 """
 
 import numpy as np
 
-from syspencils import InterpolationError, Realization, block_shift_sum, eval_polymat
+from syspencils import (
+    InterpolationError,
+    Realization,
+    block_shift_sum,
+    eval_polymat,
+    lift_right,
+)
+from syspencils.spectra import _norm
 
 
 def det_scalar_poly(P) -> np.ndarray:
@@ -160,3 +168,13 @@ def greedy_match(a, b):
         pairs.append((int(i), j, float(dist[i, j])))
         dist[:, j] = np.inf
     return pairs, max((d for _, _, d in pairs), default=0.0)
+
+
+def eager_structural_residual(u, R: Realization, lam0, x) -> float:
+    """``||c u - L||`` with L the lift of x at lam0 and ``c = u* L / ||u||^2``, evaluated
+    as right-side recovery did when it returned: a left vector u recovering y passes
+    ``conj(u)``, the transpose realization and ``conj(y)``."""
+    u = np.asarray(u, dtype=complex).reshape(-1)
+    L = lift_right(R, x, lam0)
+    c = np.vdot(u, L) / _norm(u) ** 2
+    return _norm(c * u - L)

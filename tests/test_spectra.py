@@ -1,5 +1,6 @@
+import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
 )
 from oracles import (
     det_roots,
+    eager_structural_residual,
     det_scalar_poly,
     greedy_match,
     nonpole_samples_per_point,
@@ -24,6 +26,7 @@ from syspencils import (
     AnsatzPencil,
     BlockDims,
     DegenerateVector,
+    DimensionError,
     InterpolationError,
     MatrixPolynomial,
     Realization,
@@ -51,9 +54,13 @@ from syspencils import (
     sample_space,
     solve_pencil,
     system_zeros,
+    transpose_realization,
     verify_linearization,
     z_rank,
 )
+from syspencils import core, spectra
+from syspencils.cli import main
+from syspencils.io import problem_to_dict, save_json, save_pencil
 
 
 def test_det_scalar_poly_r1(r1):
@@ -926,6 +933,167 @@ def test_f_and_g_maps_at_computed_zeros():
         y = U[:, -1]
         assert np.linalg.norm(S @ f_map(R, x, lam0)) < 1e-8
         assert np.linalg.norm(g_map(R, y, lam0).conj() @ S) < 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_f_and_g_maps_equal_the_lambda0_blocks_of_the_lifts(m, k):
+    rng = np.random.default_rng(40 + 3 * m + k)
+    R = random_realization(rng, m, 2, k, 3)
+    x, lam0, t = cgauss(rng, 3), complex(cgauss(rng)), R.dims.top
+    for null_map, lift in ((f_map, lift_right), (g_map, lift_left)):
+        lifted = lift(R, x, lam0)
+        assert np.array_equal(null_map(R, x, lam0),
+                              np.concatenate([lifted[t - R.n:t], lifted[-R.r:]]))
+
+
+@pytest.mark.parametrize("call", ["recover_right", "recover_left", "lift_right",
+                                  "lift_left", "f_map", "g_map"])
+def test_a_size_mismatch_in_recovery_is_a_dimension_error(call):
+    # a PencilError, so the CLI's per-eigenvalue except catches it
+    rng = np.random.default_rng(41)
+    R, lam0 = random_realization(rng, 2, 3, 2, 2), 0.3 + 0.2j
+    if call.startswith("recover"):
+        dims = BlockDims(1, 3, 2, 2)  # u fits these, R has m = 2
+        args, match = (cgauss(rng, dims.size), dims, R, lam0), "do not match"
+    else:
+        args, match = (R, cgauss(rng, R.r + 1), lam0), "length must be 2"
+    with pytest.raises(DimensionError, match=match):
+        getattr(spectra, call)(*args)
+
+
+@pytest.mark.parametrize("bad", [("X", 0, 1, np.nan), ("Y", 1, 0, np.inf),
+                                 ("Y", 0, 0, complex(0.0, -np.inf))],
+                         ids=["X-nan", "Y-inf", "Y-complex-inf"])
+def test_a_non_finite_pencil_is_a_value_error_without_a_warning(bad):
+    name, i, j, value = bad
+    X, Y = np.eye(3, dtype=complex), np.diag([1.0, 2.0, 3.0]).astype(complex)
+    (X if name == "X" else Y)[i, j] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: solve_pencil(X, Y), lambda: pencil_eigvals(X, Y)):
+            with pytest.raises(ValueError, match=f"pencil.{name} must be finite"):
+                call()
+
+
+def test_a_finite_pencil_whose_norm_overflows_is_not_called_non_finite():
+    # the one case where a Frobenius norm is not finite for finite entries: it
+    # reads inf (a non-finite entry reads NaN), and the shift search runs
+    X = np.array([[1.5e308, 1.5e308], [0.0, 1.5e308]], dtype=complex)
+    assert spectra._norm(X) == math.inf and np.isfinite(X).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # sigma X + Y overflows
+        try:
+            solve_pencil(X, np.eye(2))
+        except SingularSystem:
+            pass  # the shift search's verdict on entries at this scale, as before
+
+
+_RECOVERY_DIMS = {"c1": (2, 2, 2, 1), "c2": (1, 3, 2, 2), "dl": (2, 2, 2, 2),
+                  "sym": (2, 2, 1, 2), "herm": (1, 3, 2, 1), "l1g": (3, 1, 2, 2),
+                  "l2g": (2, 2, 3, 1)}
+
+
+@pytest.mark.parametrize("label", list(_RECOVERY_DIMS))
+def test_structural_residual_read_equals_the_eager_formula(label):
+    make = {"sym": random_symmetric_realization,
+            "herm": random_hermitian_realization}.get(label, random_realization)
+    R = make(np.random.default_rng(42), *_RECOVERY_DIMS[label])
+    build = {"c1": build_C1, "c2": build_C2, "dl": build_DL}.get(label)
+    P = build(R) if build else sample_space(R, 43, label)
+    eigs = solve_pencil(P.X, P.Y)
+    checked = 0
+    for i, lam in enumerate(eigs.eigenvalues):
+        for recover, u in ((recover_right, eigs.right[:, i]), (recover_left, eigs.left[:, i])):
+            try:
+                rec = recover(u, P.dims, R, lam)
+            except DegenerateVector:  # a side that is not a lift can be unusable
+                continue
+            want = (eager_structural_residual(u, R, lam, rec.x) if recover is recover_right else
+                    eager_structural_residual(np.conj(u), transpose_realization(R), lam,
+                                              np.conj(rec.x)))
+            assert rec.structural_residual == want, (label, i)
+            checked += 1
+    assert checked >= eigs.eigenvalues.size
+
+
+def _count_assemblies(monkeypatch) -> list:
+    """Count calls of the lift assembly, under both names it is called by."""
+    calls, assemble = [], core._assemble_lift
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(core, "_assemble_lift", counted)
+    monkeypatch.setattr(spectra, "_assemble_lift", counted)
+    return calls
+
+
+def test_recovery_assembles_no_lift_until_the_residual_is_read(monkeypatch, tmp_path, capsys):
+    rng = np.random.default_rng(47)
+    R = random_realization(rng, 2, 3, 2, 2)
+    save_json(tmp_path / "problem.json", problem_to_dict(R))
+    recs = []
+    calls = _count_assemblies(monkeypatch)
+    for build, recover, side in ((build_C1, recover_right, "right"),
+                                 (build_C2, recover_left, "left")):
+        P = build(R)
+        eigs = solve_pencil(P.X, P.Y)
+        recs += [recover(getattr(eigs, side)[:, i], P.dims, R, lam)
+                 for i, lam in enumerate(eigs.eigenvalues)]
+        save_pencil(tmp_path / f"{side}.json", P)
+        assert main(["solve", "--pencil", str(tmp_path / f"{side}.json"),
+                     "--input", str(tmp_path / "problem.json")]) == 0
+    f_map(R, recs[0].x, 0.5)
+    g_map(R, recs[-1].x, 0.5)
+    capsys.readouterr()
+    assert calls == []
+    assert all(rec.structural_residual <= 1e-10 for rec in recs)
+    assert len(calls) == len(recs)
+
+
+def test_structural_residual_is_computed_at_most_once(monkeypatch):
+    R = random_realization(np.random.default_rng(48), 2, 2, 1, 2)
+    P = build_C2(R)
+    eigs = solve_pencil(P.X, P.Y)
+    rec = recover_left(eigs.left[:, 0], P.dims, R, eigs.eigenvalues[0])
+    calls = _count_assemblies(monkeypatch)
+    first = rec.structural_residual
+    assert rec.structural_residual == first and len(calls) == 1
+    assert vars(rec)["structural_residual"] == first
+
+
+def test_the_kept_vector_is_a_copy_of_the_callers(monkeypatch):
+    R = random_realization(np.random.default_rng(49), 2, 3, 2, 2)
+    for build, recover, side in ((build_C1, recover_right, "right"),
+                                 (build_C2, recover_left, "left")):
+        P = build(R)
+        eigs = solve_pencil(P.X, P.Y)
+        vecs, lam = getattr(eigs, side), eigs.eigenvalues[0]
+        RR = R if side == "right" else transpose_realization(R)
+        u = vecs[:, 0] if side == "right" else np.conj(vecs[:, 0])
+        rec = recover(vecs[:, 0], P.dims, R, lam)
+        want = eager_structural_residual(u, RR, lam, rec.x if side == "right" else np.conj(rec.x))
+        assert not any(np.shares_memory(kept, vecs) for kept in rec.lifted_from[:4]
+                       if isinstance(kept, np.ndarray))
+        vecs[:, 0] = 1.0  # later writes to the caller's arrays, x included
+        rec.x[:] = 0.0
+        assert rec.structural_residual == want
+
+
+def test_the_structural_residual_is_no_field_and_replace_keeps_its_state():
+    R = random_realization(np.random.default_rng(50), 1, 2, 2, 2)
+    P = build_C1(R)
+    eigs = solve_pencil(P.X, P.Y)
+    rec = recover_right(eigs.right[:, 0], P.dims, R, eigs.eigenvalues[0])
+    assert [f.name for f in fields(rec)] == ["x", "transfer_residual"]
+    assert "structural_residual" not in asdict(rec) and "structural_residual" not in repr(rec)
+    moved = replace(rec, transfer_residual=0.0)
+    assert moved.lifted_from is rec.lifted_from
+    assert moved.structural_residual == rec.structural_residual <= 1e-10
+    assert math.isnan(spectra.RecoveredVector(x=rec.x, transfer_residual=0.0)
+                      .structural_residual)
 
 
 def test_pencil_det_matches_solver():
