@@ -130,9 +130,11 @@ class MatrixPolynomial:
 
 
 def eval_polymat(P: MatrixPolynomial, lam: complex) -> np.ndarray:
-    """Evaluate ``P(lambda)`` by Horner's scheme."""
-    acc = np.array(P.coeffs[-1], dtype=complex)
-    for c in reversed(P.coeffs[:-1]):
+    """Evaluate ``P(lambda)`` by Horner's scheme, into a new writable array."""
+    *rest, acc = P.coeffs
+    if not rest:
+        return np.array(acc)
+    for c in reversed(rest):
         acc = acc * lam + c
     return acc
 

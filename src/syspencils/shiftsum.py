@@ -47,13 +47,18 @@ def block_shift_sum(X: np.ndarray, Y: np.ndarray, dims: BlockDims) -> np.ndarray
 
     Each quadrant is shifted by its own column block size: the left
     quadrants by n, the right quadrants by r.  The result is
-    (mn+kr) x ((m+1)n + (k+1)r), partitioned the same way.
+    (mn+kr) x ((m+1)n + (k+1)r), partitioned the same way: one new array whose
+    column partitions are, entry for entry, :func:`col_shift_sum` of those of X and Y.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     s = dims.size
     if X.shape != (s, s) or Y.shape != (s, s):
         raise DimensionError(f"expected {s}x{s} operands for dims {dims}")
-    t = dims.top
-    return np.hstack([col_shift_sum(X[:, :t], Y[:, :t], dims.n),
-                      col_shift_sum(X[:, t:], Y[:, t:], dims.r)])
+    t, n, r = dims.top, dims.n, dims.r
+    out = np.zeros((s, s + n + r), dtype=complex)
+    out[:, :t] += X[:, :t]
+    out[:, n:t + n] += Y[:, :t]
+    out[:, t + n:s + n] += X[:, t:]
+    out[:, t + n + r:] += Y[:, t:]
+    return out

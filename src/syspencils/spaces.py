@@ -325,12 +325,12 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
     v = Z[:t, :ct].reshape(m, -1) @ fit_A / norm_A
     w = Z[t:, ct:].reshape(k, -1) @ fit_D / norm_D
 
-    pattern = np.zeros_like(Z)
-    pattern[:t, :ct] = _kron_col(v, K_A)
-    pattern[:t, -r:] = -_kron_col(v, R.B)
-    pattern[t:, ct - n:ct] = _kron_col(w, R.C)
-    pattern[t:, ct:] = _kron_col(w, K_D)
-    residual = max(float(np.max(np.abs(Z - pattern))),
+    # Z becomes Z minus the pattern of (v, w), in place: the four blocks do not overlap
+    Z[:t, :ct] -= _kron_col(v, K_A)
+    Z[:t, -r:] += _kron_col(v, R.B)
+    Z[t:, ct - n:ct] -= _kron_col(w, R.C)
+    Z[t:, ct:] -= _kron_col(w, K_D)
+    residual = max(float(np.max(np.abs(Z))),
                    float(np.max(np.abs(X[:t, t:]))), float(np.max(np.abs(X[t:, :t]))))
     if not residual <= atol:  # NaN too
         raise NotAMember(

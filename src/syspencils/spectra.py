@@ -14,7 +14,7 @@ sufficient-condition certificate, is computed when a report's ``full_z_rank`` is
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -140,20 +140,24 @@ def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
     does.  This is the package's one eigensolver and its one regularity
     test: SingularSystem when no shift sigma passes the condition test of
     :func:`_shift_invert`.  ValueError names X or Y when it has a NaN or infinite entry.
-    scipy is imported only for the QZ fallback.
+    ``||X||_F`` and ``||Y||_F`` are taken once; the shift search and both backward-error
+    checks read that pair.  scipy is imported only for the QZ fallback.
     """
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionError("pencil coefficients must be square and of equal shape")
-    shifted = _shift_invert(X, Y, left) if X.size else None
+    norms = _norm(X), _norm(Y)
+    shifted = _shift_invert(X, Y, left, norms) if X.size else None
     if shifted is not None:
-        eigs = _finite_pairs(X, Y, *shifted)
+        eigs = _finite_pairs(X, Y, norms, *shifted)
         bound = 10 * X.shape[0] * np.finfo(float).eps
-        # a left vector y of lambda X + Y is a right one of conj(lambda) X* + Y*
+        # a left vector y of lambda X + Y is a right one of conj(lambda) X* + Y*, and
+        # ||X*||_F = ||X||_F (the left errors are only compared with the bound)
         if (eigs.backward_errors <= bound).all() and (not left or (_backward_errors(
-                X.conj().T, Y.conj().T, eigs.eigenvalues.conj(), eigs.left) <= bound).all()):
-            return eigs if right else replace(eigs, right=None)
+                X.conj().T, Y.conj().T, norms, eigs.eigenvalues.conj(), eigs.left) <= bound).all()):
+            return eigs if right else PencilEigs(eigs.eigenvalues, None, eigs.left,
+                                                 eigs.backward_errors)
     import scipy.linalg
 
     try:
@@ -162,23 +166,24 @@ def solve_pencil(X, Y, *, left: bool = True, right: bool = True) -> PencilEigs:
         raise SolverFailure(str(exc)) from exc
     # a bare (alpha, beta) array without vectors; else left vectors come first
     ab, *vecs = out if left or right else (out,)
-    return _finite_pairs(X, Y, ab[0], ab[1], vecs[0] if left else None,
+    return _finite_pairs(X, Y, norms, ab[0], ab[1], vecs[0] if left else None,
                          vecs[-1] if right else None)
 
 
-def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool):
+def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool, norms: tuple[float, float]):
     """``(alpha, beta, left, right)`` from numpy's eig of ``M = (sigma X + Y)^{-1} X`` at
     the first shift whose probe reciprocal condition estimate is above 1e-8 (None if
     eig fails).  The shifts are ``SHIFT_POINTS`` times ``||Y||_F / ||X||_F``, then the
     same unscaled, which rescues regular pencils whose blocks differ much in scale;
-    SingularSystem when none qualifies.  The two norms also tell a non-finite X or Y
-    (ValueError); when a norm of finite entries overflows, only the unscaled shifts run.
+    SingularSystem when none qualifies.  ``norms`` is ``(_norm(X), _norm(Y))``; the two
+    also tell a non-finite X or Y (ValueError); when a norm of finite entries
+    overflows, only the unscaled shifts run.
 
     ``M u = mu u`` and ``z* M = mu z*`` give ``lambda = (sigma mu - 1) / mu`` with
     right vector u and left vector ``(sigma X + Y)^{-H} z``.  The ``z*`` are the
     rows of ``U^{-1}``, so the left vectors are the columns of ``((sigma X + Y) U)^{-H}``.
     """
-    norm_x, norm_y = _norm(X), _norm(Y)
+    norm_x, norm_y = norms
     for name, norm in (("X", norm_x), ("Y", norm_y)):
         if math.isnan(norm):
             raise ValueError(f"pencil.{name} must be finite")
@@ -202,20 +207,29 @@ def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool):
     return sigma * mu - 1.0, mu, vl, u
 
 
-def _backward_errors(X, Y, lam, V) -> np.ndarray:
+def _column_norms(V: np.ndarray) -> np.ndarray:
+    """Column 2-norms of V, by the expression ``np.linalg.norm(V, axis=0)`` evaluates."""
+    return np.sqrt(np.add.reduce((V.conj() * V).real, axis=0))
+
+
+def _backward_errors(X, Y, norms, lam, V) -> np.ndarray:
     """``||(lambda X + Y) u||`` over ``|lambda| ||X||_F + ||Y||_F``, per unit column u of V."""
-    return (np.linalg.norm(lam * (X @ V) + Y @ V, axis=0)
-            / np.maximum(np.abs(lam) * _norm(X) + _norm(Y), 1e-300))
+    norm_x, norm_y = norms  # ||X||_F, ||Y||_F
+    return (_column_norms(lam * (X @ V) + Y @ V)
+            / np.maximum(np.abs(lam) * norm_x + norm_y, 1e-300))
 
 
-def _finite_pairs(X, Y, alpha, beta, vl, vr) -> PencilEigs:
+def _finite_pairs(X, Y, norms, alpha, beta, vl, vr) -> PencilEigs:
     """Finite eigentriples from homogeneous eigenvalues and raw vectors (None if absent)."""
     finite = np.abs(beta) > INF_EIG_RTOL * np.hypot(np.abs(alpha), np.abs(beta))
-    vl, vr = (None if V is None else
-              V[:, finite] / np.maximum(np.linalg.norm(V[:, finite], axis=0), 1e-300)
-              for V in (vl, vr))
+
+    def unit(V):
+        V = V[:, finite]
+        return V / np.maximum(_column_norms(V), 1e-300)
+
+    vl, vr = (None if V is None else unit(V) for V in (vl, vr))
     lam = alpha[finite] / beta[finite]
-    eta = None if vr is None else _backward_errors(X, Y, lam, vr)
+    eta = None if vr is None else _backward_errors(X, Y, norms, lam, vr)
     return PencilEigs(eigenvalues=lam, right=vr, left=vl, backward_errors=eta)
 
 

@@ -8,7 +8,8 @@ reference pencil eigenvalues come from scipy's QZ, never from the
 package's shift-and-invert path.  The per-point loops below are the
 references of the stacked sampler and l1s residual, and the row-by-row
 greedy loop that of the matching.  The eager structural residual is the
-formula recovery evaluated before the residual was computed on read.
+formula recovery evaluated before the residual was computed on read, and the
+copy-first Horner loop the former body of ``eval_polymat``.
 """
 
 import numpy as np
@@ -178,3 +179,12 @@ def eager_structural_residual(u, R: Realization, lam0, x) -> float:
     L = lift_right(R, x, lam0)
     c = np.vdot(u, L) / _norm(u) ** 2
     return _norm(c * u - L)
+
+
+def copy_first_horner(P, lam) -> np.ndarray:
+    """Horner's scheme from a complex copy of the leading coefficient, the form
+    ``eval_polymat`` had before it started from ``c_m lambda + c_{m-1}``."""
+    acc = np.array(P.coeffs[-1], dtype=complex)
+    for c in reversed(P.coeffs[:-1]):
+        acc = acc * lam + c
+    return acc

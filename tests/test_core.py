@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import cgauss, random_realization
+from oracles import copy_first_horner
 
 from syspencils import (
     DimensionError,
@@ -29,6 +30,20 @@ def test_eval_polymat_linear_and_quadratic():
     assert eval_polymat(P, 1.0)[0, 0] == -1.0
     Q = MatrixPolynomial.from_scalars(1, 0, 1)  # lambda^2 + 1
     assert abs(eval_polymat(Q, 1j)[0, 0]) < 1e-15
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_eval_polymat_is_the_copy_first_horner_bit_for_bit(degree):
+    rng = np.random.default_rng(degree)
+    P = MatrixPolynomial(tuple(cgauss(rng, 3, 2) for _ in range(degree + 1)))
+    points = cgauss(rng, 4)
+    for lam in (complex(points[0]), points[1], 0.5, points[:, None, None]):
+        got, expected = eval_polymat(P, lam), copy_first_horner(P, lam)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    out = eval_polymat(P, points[0])
+    assert out.flags.writeable  # a new array, never a frozen coefficient
+    assert not any(np.shares_memory(out, c) for c in P.coeffs)
 
 
 def test_lambda_vector():

@@ -137,13 +137,14 @@ def test_cli_dl_equals_c1_for_scalar(tmp_path):
     assert np.array_equal(Pa.X, Pb.X) and np.array_equal(Pa.Y, Pb.Y)
 
 
-def test_cli_symmetric_source_rejects_asymmetric(tmp_path):
+def test_cli_symmetric_source_rejects_asymmetric(tmp_path, capsys):
     rng = np.random.default_rng(2)
     prob = tmp_path / "p.json"
     _write_problem(prob, random_realization(rng, 2, 2, 2, 1))
     code = main(["build", "--input", str(prob), "--output", str(tmp_path / "s.json"),
                  "--source", "sym"])
     assert code == 3
+    assert "realization is not symmetric" in capsys.readouterr().err
 
 
 def test_cli_symmetric_source_works(tmp_path):
@@ -156,7 +157,7 @@ def test_cli_symmetric_source_works(tmp_path):
     assert np.max(np.abs(P.X - P.X.T)) < 1e-14
 
 
-def test_cli_explicit_source(tmp_path):
+def test_cli_explicit_source(tmp_path, capsys):
     rng = np.random.default_rng(4)
     R = random_realization(rng, 2, 2, 2, 1)
     from syspencils.io import encode_matrix as em, encode_vector as ev
@@ -170,6 +171,7 @@ def test_cli_explicit_source(tmp_path):
     assert main(["build", "--input", str(prob), "--output", str(pen),
                  "--source", "explicit"]) == 0
     assert main(["verify", "--pencil", str(pen), "--input", str(prob)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
 def test_cli_verify_fails_for_singular_leading_coefficient(tmp_path, capsys):
@@ -250,12 +252,14 @@ def test_cli_solve_r2(tmp_path, capsys):
     assert all(res is not None and res < 1e-8 for res in out["residuals"])
 
 
-def test_cli_truncated_file_is_input_error(tmp_path):
+def test_cli_truncated_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": 1, "realization": {"A"')
     assert main(["verify", "--pencil", str(bad), "--input", str(bad)]) == 2
     assert main(["solve", "--pencil", str(bad), "--input", str(bad)]) == 2
     assert main(["build", "--input", str(bad), "--output", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error: Expecting") for line in err)
 
 
 def test_cli_sample_deterministic(tmp_path, capsys):
@@ -303,14 +307,16 @@ def test_cli_dim(capsys):
     assert main(["dim", "1", "5", "1", "3"]) == 0
     assert json.loads(capsys.readouterr().out) == 2
     assert main(["dim", "0", "1", "1", "1"]) == 2
+    assert "block dims must be positive" in capsys.readouterr().err
 
 
-def test_cli_sample_structured_space_needs_structured_data(tmp_path):
+def test_cli_sample_structured_space_needs_structured_data(tmp_path, capsys):
     rng = np.random.default_rng(7)
     prob = tmp_path / "p.json"
     _write_problem(prob, random_realization(rng, 2, 2, 2, 1))
     assert main(["sample", "--input", str(prob), "--count", "2",
                  "--space", "sym"]) == 3
+    assert "realization is not symmetric" in capsys.readouterr().err
 
 
 def test_cli_basis_build_and_verify(tmp_path, capsys):

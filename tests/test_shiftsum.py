@@ -68,3 +68,17 @@ def test_block_shift_sum_zero_and_bilinear():
     lhs = block_shift_sum(X1 + X2, Y1 + Y2, dims)
     rhs = block_shift_sum(X1, Y1, dims) + block_shift_sum(X2, Y2, dims)
     assert np.allclose(lhs, rhs)
+
+
+@pytest.mark.parametrize("m, n, k, r", [(1, 1, 1, 1), (1, 3, 1, 2), (2, 2, 1, 3),
+                                        (3, 1, 2, 2), (2, 4, 3, 1)])
+def test_block_shift_sum_is_the_column_shift_sum_of_each_partition(m, n, k, r):
+    dims = BlockDims(m, n, k, r)
+    rng = np.random.default_rng(m * 1000 + n * 100 + k * 10 + r)
+    X, Y = cgauss(rng, dims.size, dims.size), cgauss(rng, dims.size, dims.size)
+    t = dims.top
+    expected = np.hstack([col_shift_sum(X[:, :t], Y[:, :t], n),
+                          col_shift_sum(X[:, t:], Y[:, t:], r)])
+    got = block_shift_sum(X, Y, dims)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()

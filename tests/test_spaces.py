@@ -389,6 +389,23 @@ def test_membership_rejects_a_perturbation_in_each_region(region):
         membership(X, Y, R)
 
 
+@pytest.mark.parametrize("space", ["l1g", "l2g", "dl", "sym", "herm"])
+def test_membership_leaves_read_only_operands_unchanged(space):
+    rng = np.random.default_rng(17)
+    make = {"sym": random_symmetric_realization,
+            "herm": random_hermitian_realization}.get(space, random_realization)
+    R = make(rng, 2, 3, 2, 2)
+    P = sample_space(R, 5, space)
+    X, Y = np.array(P.X), np.array(P.Y)
+    expected = membership(X, Y, R, space)
+    before = X.tobytes(), Y.tobytes()
+    X.setflags(write=False)
+    Y.setflags(write=False)
+    got = membership(X, Y, R, space)  # the fitted pattern is subtracted from its own buffer
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+    assert (X.tobytes(), Y.tobytes()) == before
+
+
 def test_membership_degenerate_fit():
     # all-zero A coefficients leave the ansatz vector unidentifiable
     R = Realization(A=MatrixPolynomial((np.zeros((1, 1)), np.zeros((1, 1)))),

@@ -270,12 +270,43 @@ def test_solve_pencil_without_vectors(n, infinite):
     assert np.array_equal(pencil_eigvals(X, Y).view(float), eigs.eigenvalues.view(float))
 
 
+def test_solve_pencil_takes_the_norm_pair_once(monkeypatch):
+    import syspencils.spectra as spectra
+
+    calls, norm = [], spectra._norm
+
+    def counted(v):
+        calls.append(v.shape)
+        return norm(v)
+
+    monkeypatch.setattr(spectra, "_norm", counted)
+    P = build_C1(random_realization(np.random.default_rng(4), 2, 3, 2, 2))
+    for kw in ({"left": False}, {}, {"right": False}, {"left": False, "right": False}):
+        calls.clear()
+        solve_pencil(P.X, P.Y, **kw)
+        assert len(calls) == 2, kw  # ||X||_F and ||Y||_F, for the shift and both checks
+
+
+def test_column_norms_equal_numpy_norm_bit_for_bit():
+    import syspencils.spectra as spectra
+
+    rng = np.random.default_rng(11)
+    for n in range(1, 16):
+        for scale in (1.0, 1e150, 1e-150):
+            V = cgauss(rng, n, n) * scale
+            V[:, n // 2] = 0.0
+            got, expected = spectra._column_norms(V), np.linalg.norm(V, axis=0)
+            assert got.tobytes() == expected.tobytes(), (n, scale)
+
+
 def test_solve_pencil_falls_back_to_qz_on_a_large_backward_error():
     import syspencils.spectra as spectra
 
     P, R = badly_scaled_l2g_member()
     n = R.dims.size
-    shifted = spectra._finite_pairs(P.X, P.Y, *spectra._shift_invert(P.X, P.Y, False))
+    norms = spectra._norm(P.X), spectra._norm(P.Y)
+    shifted = spectra._finite_pairs(P.X, P.Y, norms,
+                                    *spectra._shift_invert(P.X, P.Y, False, norms))
     assert shifted.backward_errors.max() > 10 * n * np.finfo(float).eps
     eigs = solve_pencil(P.X, P.Y, left=False)
     expected = qz_eigvals(P.X, P.Y, right=True)
@@ -292,7 +323,9 @@ def test_solve_pencil_shift_invert_at_large_n(build, side):
     n = R.dims.size
     left = side == "left"
     eigs = solve_pencil(P.X, P.Y, left=left, right=not left)
-    shifted = spectra._finite_pairs(P.X, P.Y, *spectra._shift_invert(P.X, P.Y, left))
+    norms = spectra._norm(P.X), spectra._norm(P.Y)
+    shifted = spectra._finite_pairs(P.X, P.Y, norms,
+                                    *spectra._shift_invert(P.X, P.Y, left, norms))
     assert np.array_equal(eigs.eigenvalues, shifted.eigenvalues)  # no QZ fallback
     assert eigs.eigenvalues.size == n
     assert eigs.backward_errors.max() <= 10 * n * np.finfo(float).eps
@@ -320,10 +353,11 @@ def test_solve_pencil_falls_back_to_qz_on_poor_left_vectors():
     Q, X = cgauss(rng, n, n), cgauss(rng, n, n)
     Y = -X @ Q @ J @ np.linalg.inv(Q)
     bound = 10 * n * np.finfo(float).eps
-    shifted = spectra._finite_pairs(X, Y, *spectra._shift_invert(X, Y, True))
+    norms = spectra._norm(X), spectra._norm(Y)
+    shifted = spectra._finite_pairs(X, Y, norms, *spectra._shift_invert(X, Y, True, norms))
     assert shifted.backward_errors.max() <= bound
     # the left vectors' backward errors, as right vectors of conj(lambda) X* + Y*
-    assert spectra._backward_errors(X.conj().T, Y.conj().T, shifted.eigenvalues.conj(),
+    assert spectra._backward_errors(X.conj().T, Y.conj().T, norms, shifted.eigenvalues.conj(),
                                     shifted.left).max() > bound
     # right vectors alone pass the check; asking for left ones sends the call to QZ
     right = solve_pencil(X, Y, left=False)
