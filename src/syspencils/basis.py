@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Realization, numerical_rank
+from .core import Realization, check_finite, numerical_rank
 from .errors import DimensionError, SingularBasis
 from .spaces import SPACE_L1G, AnsatzPencil, build_pencil_L1, residual_ansatz
 
@@ -61,6 +61,8 @@ class BasisSpec:
             if rows.shape != (self.d, self.d):
                 raise DimensionError(f"custom basis rows must be {self.d}x{self.d}")
             object.__setattr__(self, "rows", rows)
+        check_finite("BasisSpec", nodes=np.array(self.nodes, dtype=complex),
+                     rows=self.rows if self.kind == "custom" else None)
 
 
 def phi_matrix(spec: BasisSpec) -> np.ndarray:

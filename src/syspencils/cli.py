@@ -189,6 +189,8 @@ def cmd_solve(args) -> int:
 def cmd_sample(args) -> int:
     with _reading():
         R, _ = load_problem(args.input)
+    if args.space == spaces.SPACE_L1S and R.r > R.n:  # an input error, as on build
+        raise ValueError(f"--space {args.space} needs r <= n, got r={R.r}, n={R.n}")
     passes = []
     for i in range(args.count):
         P = spaces.sample_space(R, seed=args.seed + i, space=args.space)

@@ -117,7 +117,7 @@ class MatrixPolynomial:
             return self.coeffs[j]
         return np.zeros((self.rows, self.cols), dtype=complex)
 
-    def __call__(self, lam: complex) -> np.ndarray:
+    def __call__(self, lam) -> np.ndarray:
         return eval_polymat(self, lam)
 
     def transpose(self) -> "MatrixPolynomial":
@@ -129,13 +129,20 @@ class MatrixPolynomial:
         return max_entry(*self.coeffs)
 
 
-def eval_polymat(P: MatrixPolynomial, lam: complex) -> np.ndarray:
-    """Evaluate ``P(lambda)`` by Horner's scheme, into a new writable array."""
+def _points(lam):
+    """A 1-D array of p points as shape (p, 1, 1), one matrix per point; else ``lam``."""
+    return lam[:, None, None] if isinstance(lam, np.ndarray) and lam.ndim == 1 else lam
+
+
+def eval_polymat(P: MatrixPolynomial, lam) -> np.ndarray:
+    """Evaluate ``P(lambda)`` by Horner's scheme, into a new writable array; a 1-D array
+    of p points gives shape (p, rows, cols), each slice the scalar call's bit for bit."""
+    at = _points(lam)
     *rest, acc = P.coeffs
-    if not rest:
-        return np.array(acc)
+    if not rest:  # at is lam unless lam holds points: then one copy per point
+        return np.array(acc) if at is lam else np.repeat(acc[None], len(lam), axis=0)
     for c in reversed(rest):
-        acc = acc * lam + c
+        acc = acc * at + c
     return acc
 
 
@@ -369,15 +376,16 @@ def probe_solve(K: np.ndarray, rhs: np.ndarray, norm_floor: float = 0.0):
     bound on ``||K^{-1}||_1`` (Dixon, SINUM 20, 1983), rcond bounds the 1-norm
     reciprocal condition number from above.  K may be a stack of matrices
     (one rhs for all); rcond is then the smallest over the stack.  It is 0
-    when the solve overflows; numpy raises LinAlgError at an exactly zero
-    pivot.  A 1-D ``rhs`` gives 1-D solutions.
+    when the solve overflows, and ``(None, 0.0)`` is returned at an exactly
+    zero pivot.  A 1-D ``rhs`` gives 1-D solutions.
     """
     n, stacked = K.shape[-1], K.ndim > 2
     g = PROBE[:n] if n <= PROBE.size else np.exp(1j * np.arange(float(n)) ** 2)
     cols = np.concatenate([rhs[:, None] if rhs.ndim == 1 else rhs, g[:, None]], axis=1)
-    # broadcast by hand: numpy < 2 reads a 2-D b beside a 3-D K as a stack of vectors
-    x = np.linalg.solve(K, np.broadcast_to(cols, K.shape[:-1] + cols.shape[-1:]) if stacked
-                        else cols)
+    try:
+        x = np.linalg.solve(K, cols)
+    except np.linalg.LinAlgError:
+        return None, 0.0
     norm, probe = np.abs(K).sum(axis=-2).max(axis=-1), np.abs(x[..., -1]).sum(axis=-1)
     denom = (np.maximum(norm, norm_floor) * probe).max() if stacked else \
         max(float(norm), norm_floor) * float(probe)
@@ -388,17 +396,13 @@ def probe_solve(K: np.ndarray, rhs: np.ndarray, norm_floor: float = 0.0):
 def solve_state(R: Realization, lam, rhs: np.ndarray) -> np.ndarray:
     """Solve ``A(lambda) x = rhs`` from one :func:`probe_solve`, after the pole guard.
 
-    PoleError when numpy finds an exactly zero pivot, or when the probe's reciprocal
-    condition estimate, with ``||A||_1`` floored at the data's own scale ``max_j |A_j|``,
-    is at most ``POLE_RTOL``.  An A(lambda) that overflows is a pole too, without a
-    floating-point warning.  ``lam`` may be a 1-D array of points: the solutions then
-    stack along a first axis, and PoleError is raised when any point is a pole."""
-    points = lam[:, None, None] if isinstance(lam, np.ndarray) and lam.ndim == 1 else lam
+    PoleError when the probe's reciprocal condition estimate (0 at an exactly zero pivot),
+    with ``||A||_1`` floored at the data's own scale ``max_j |A_j|``, is at most
+    ``POLE_RTOL``.  An A(lambda) that overflows is a pole too, without a floating-point
+    warning.  ``lam`` may be a 1-D array of points: the solutions then stack along a
+    first axis, and PoleError is raised when any point is a pole."""
     with np.errstate(all="ignore"):
-        try:
-            x, rcond = probe_solve(eval_polymat(R.A, points), rhs, R.A.scale)
-        except np.linalg.LinAlgError:
-            rcond = 0.0
+        x, rcond = probe_solve(eval_polymat(R.A, lam), rhs, R.A.scale)
     if rcond <= POLE_RTOL:
         raise PoleError(f"A(lambda) is singular to tolerance at lambda={lam}")
     return x
@@ -422,9 +426,8 @@ def _solve_lift(R: Realization, lam, col: np.ndarray):
     (DimensionError otherwise).  A 1-D array of points stacks both along a first axis."""
     if col.shape[0] != R.r:
         raise DimensionError(f"vector length must be {R.r}, got {col.shape[0]}")
-    at = lam[:, None, None] if isinstance(lam, np.ndarray) and lam.ndim == 1 else lam
     F = solve_state(R, lam, R.B @ col)
-    return F, R.C @ F + eval_polymat(R.D, at) @ col
+    return F, R.C @ F + eval_polymat(R.D, lam) @ col
 
 
 def _assemble_lift(R: Realization, lam, F: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -442,14 +445,14 @@ def _lift(R: Realization, lam, col: np.ndarray):
     return _assemble_lift(R, lam, F, col), G
 
 
-def eval_transfer(R: Realization, lam: complex) -> np.ndarray:
+def eval_transfer(R: Realization, lam) -> np.ndarray:
     """Evaluate ``G(lambda) = C A(lambda)^{-1} B + D(lambda)``.
 
     One LU solve with A(lambda) serves the solve, never an explicit
     inverse.  PoleError signals that lambda is numerically a pole of G: an
     exactly zero pivot, or a probe estimate of the 1-norm reciprocal
     condition of A(lambda) at most ``POLE_RTOL``, with ``||A(lambda)||_1``
-    floored at ``max_j |A_j|`` (see :func:`probe_solve`).
+    floored at ``max_j |A_j|`` (see :func:`probe_solve`).  p points: (p, r, r).
     """
     return R.C @ solve_state(R, lam, R.B) + eval_polymat(R.D, lam)
 

@@ -28,13 +28,14 @@ import numpy as np
 from .core import (
     BlockDims,
     Realization,
+    _assemble_lift,
     _kron_col,
     _lift,
+    _points,
     check_finite,
     eval_polymat,
     is_hermitian_realization,
     is_symmetric_realization,
-    lambda_vector,
     max_entry,
     padded_identity,
     transpose_realization,
@@ -127,8 +128,8 @@ class AnsatzPencil:
         object.__setattr__(self, "w", _as_vector(self.w, self.dims.k, "AnsatzPencil.w"))
         check_finite("AnsatzPencil", X=X, Y=Y, v=self.v, w=self.w)
 
-    def __call__(self, lam: complex) -> np.ndarray:
-        return lam * self.X + self.Y
+    def __call__(self, lam) -> np.ndarray:  # at p points, shape (p, N, N), as eval_polymat
+        return _points(lam) * self.X + self.Y
 
 
 def _l1_parts(R: Realization, v, w, W, W1):
@@ -384,7 +385,7 @@ def sample_space(R: Realization, seed: int, space: str = SPACE_L1G) -> AnsatzPen
 def _max_deviation(X, Y, lams, M, target) -> float:
     """``max|(lam X + Y) M_i - target_i|`` over the points, target_i standing for the
     trailing rows (zero above); lam X + Y comes first, as lam X M_i and Y M_i can cancel."""
-    out = (lams[:, None, None] * X + Y) @ M
+    out = (_points(lams) * X + Y) @ M
     out[:, -target.shape[1]:] -= target
     return float(np.abs(out).max())
 
@@ -392,10 +393,9 @@ def _max_deviation(X, Y, lams, M, target) -> float:
 def _l1s_data(R: Realization, lams: np.ndarray):
     """The lift ``[Lambda_m kron I_n ; Lambda_k kron I_rn]``, ``A - B I_rn`` and
     ``C + D I_rn`` at ``lams``: what the system-matrix identity reads of R."""
-    Irn, at = padded_identity(R.r, R.n), lams[:, None, None]
-    return (np.concatenate([_kron_col(lambda_vector(R.m, lams), np.eye(R.n)),
-                            _kron_col(lambda_vector(R.k, lams), Irn)], axis=1),
-            eval_polymat(R.A, at) - R.B @ Irn, R.C + eval_polymat(R.D, at) @ Irn)
+    Irn = padded_identity(R.r, R.n)
+    return (_assemble_lift(R, lams, np.eye(R.n), Irn),
+            eval_polymat(R.A, lams) - R.B @ Irn, R.C + eval_polymat(R.D, lams) @ Irn)
 
 
 def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:

@@ -191,10 +191,7 @@ def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool, norms: tuple[float, 
     scales = (rho, 1.0) if rho != 1.0 and 0.0 < rho < math.inf else (1.0,)
     for sigma in (c * s for c in scales for s in SHIFT_POINTS):
         K = sigma * X + Y
-        try:
-            M, rcond = probe_solve(K, X)
-        except np.linalg.LinAlgError:
-            continue
+        M, rcond = probe_solve(K, X)
         if rcond > 1e-8:
             break
     else:
@@ -342,11 +339,8 @@ def nonpole_samples(R: Realization, count: int, seed: int = 7) -> np.ndarray:
             if len(out) == count:
                 break
             lam = (0.4 + 1.2 * (j * 1.618033988749895 % 1)) * np.exp(2j * np.pi * (j * 2**0.5 % 1))
-            try:
-                if probe_solve(eval_polymat(R.A, lam), no_rhs, R.A.scale)[1] > 1e-3:
-                    out.append(lam)
-            except np.linalg.LinAlgError:
-                pass
+            if probe_solve(eval_polymat(R.A, lam), no_rhs, R.A.scale)[1] > 1e-3:
+                out.append(lam)
     if len(out) < count:
         raise InterpolationError("could not find enough sample points away from poles")
     return np.array(out, dtype=complex)

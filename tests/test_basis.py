@@ -44,6 +44,16 @@ def test_newton_duplicate_nodes_rejected():
         BasisSpec(kind="newton", d=3, nodes=(1.0,))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("-inf"))])
+def test_non_finite_basis_is_rejected_by_field(bad):
+    with pytest.raises(ValueError, match=r"^BasisSpec\.nodes must be finite$"):
+        BasisSpec(kind="newton", d=3, nodes=(bad, 1.0))
+    rows = np.eye(2, dtype=complex)
+    rows[1, 0] = bad
+    with pytest.raises(ValueError, match=r"^BasisSpec\.rows must be finite$"):
+        BasisSpec(kind="custom", d=2, rows=rows)
+
+
 def test_rank_deficient_custom_basis_rejected():
     with pytest.raises(SingularBasis):
         phi_matrix(BasisSpec(kind="custom", d=3, rows=[[1, 0, 0], [0, 1, 0], [1, 1, 0]]))

@@ -10,6 +10,7 @@ from syspencils import (
     MatrixPolynomial,
     PoleError,
     Realization,
+    build_C1,
     build_system_matrix,
     eval_polymat,
     eval_transfer,
@@ -17,7 +18,7 @@ from syspencils import (
     padded_identity,
     transpose_realization,
 )
-from syspencils.core import solve_state, solve_state_left
+from syspencils.core import probe_solve, solve_state, solve_state_left
 
 
 def test_eval_polymat_constant():
@@ -44,6 +45,40 @@ def test_eval_polymat_is_the_copy_first_horner_bit_for_bit(degree):
     out = eval_polymat(P, points[0])
     assert out.flags.writeable  # a new array, never a frozen coefficient
     assert not any(np.shares_memory(out, c) for c in P.coeffs)
+
+
+def _assert_scalar_calls(f, points):
+    """``f`` at a 1-D array of points is the stack of its scalar calls, bit for bit."""
+    got, expected = f(points), np.stack([f(z) for z in points])
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])  # the coefficients are 3 x 2
+def test_eval_polymat_at_points_is_the_scalar_calls(degree, p):
+    rng = np.random.default_rng(10 * degree + p)
+    P = MatrixPolynomial(tuple(cgauss(rng, 3, 2) for _ in range(degree + 1)))
+    points = cgauss(rng, p)
+    _assert_scalar_calls(lambda lam: eval_polymat(P, lam), points)
+    _assert_scalar_calls(P, points)
+    out = eval_polymat(P, points)
+    assert out.flags.writeable and not any(np.shares_memory(out, c) for c in P.coeffs)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 10])  # r = 2, n = 3 and N = mn + kr = 10
+def test_transfer_and_pencil_at_points_are_the_scalar_calls(p):
+    R = random_realization(np.random.default_rng(p), 2, 3, 2, 2)
+    points = cgauss(np.random.default_rng(100 + p), p)
+    _assert_scalar_calls(lambda lam: eval_transfer(R, lam), points)
+    _assert_scalar_calls(build_C1(R), points)
+
+
+def test_probe_solve_exactly_singular_is_rcond_zero():
+    K = np.array([[0.0, 1.0], [0.0, 2.0]], dtype=complex)  # an exactly zero pivot
+    for stack in (K, np.stack([np.eye(2), K])):
+        for rhs in (np.ones(2), np.ones((2, 3))):
+            assert probe_solve(stack, rhs) == (None, 0.0)
 
 
 def test_lambda_vector():

@@ -539,6 +539,32 @@ def test_cli_singular_basis_is_input_error_on_every_verb(tmp_path, capsys, verb)
     assert "duplicate newton nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["newton:nan,1", "newton:inf,1"])
+def test_cli_non_finite_newton_node_is_input_error(tmp_path, token):
+    prob = tmp_path / "p.json"
+    _write_problem(prob, random_realization(np.random.default_rng(8), 3, 2, 2, 1))
+    done = _run_cli("build", "--input", str(prob), "--output", str(tmp_path / "x.json"),
+                    "--basis", token)
+    assert done.returncode == 2
+    assert "error: BasisSpec.nodes must be finite" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("verb, message", [
+    ("build", "the system-matrix ansatz identity requires r <= n"),
+    ("sample", "--space l1s needs r <= n, got r=3, n=2")])
+def test_cli_l1s_space_with_r_above_n_is_input_error(tmp_path, capsys, verb, message):
+    # the system-matrix identity pads with I_{r x n}, so (2, 2, 2, 3) data fit no l1s member
+    prob = tmp_path / "p.json"
+    R = random_realization(np.random.default_rng(5), 2, 2, 2, 3)
+    _write_problem(prob, R, {"ansatz": {"v": encode_vector(np.ones(2)),
+                                        "w": encode_vector(np.ones(2))}})
+    files = (["--output", str(tmp_path / "x.json"), "--source", "explicit"] if verb == "build"
+             else ["--count", "2"])
+    assert main([verb, "--input", str(prob), *files, "--space", "l1s"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_build_and_dim_do_not_load_scipy(tmp_path):
     prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
     _write_problem(prob, _r1())
