@@ -66,11 +66,27 @@ def max_entry(*arrays) -> float:
     return float(np.abs(flat).max()) if flat.size else 0.0
 
 
-def _freeze(a, copy: bool = True) -> np.ndarray:
-    """A read-only complex ndarray: a copy of ``a``, or with ``copy=False`` a new ``a`` itself."""
-    out = np.array(a, dtype=complex, copy=copy)
+def _freeze(a) -> np.ndarray:
+    """A read-only complex copy of ``a``."""
+    out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _kept(R: "Realization", name: str, compute):
+    """``compute(R)``, kept as ``vars(R)[name]`` from the first call, with each array of it
+    (or of the tuple it is) made read-only in place: how a module keeps what it derives
+    from R alone.  A call whose computation raises keeps nothing."""
+    try:
+        return R.__dict__[name]
+    except KeyError:
+        pass
+    value = compute(R)
+    for a in value if isinstance(value, tuple) else (value,):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    R.__dict__[name] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -205,10 +221,8 @@ class Realization:
     both degrees are structural.  Regularity is not enforced here;
     :func:`syspencils.spectra.system_zeros` raises SingularSystem when the
     eigensolver's regularity test finds the system matrix S(lambda) singular.
-    Kept read-only from first use (a computation that raises keeps nothing): the scale,
-    dims, transpose (every left-side solve, lift and recovery runs on it), coefficient rows
-    and their ansatz fit, structure tests, the pencils the builders copy (C1, DL and the
-    sign -1 DL behind sym/herm), and verify's zeros, samples, transfer and l1s lift data.
+    The scale and dims are cached properties; what a module derives from R alone, it
+    keeps on R where it reads it, by :func:`_kept`.
     """
 
     A: MatrixPolynomial
@@ -238,78 +252,6 @@ class Realization:
     def scale(self) -> float:
         """Largest modulus of any entry of A_j, B, C or D_j, computed once and stored."""
         return max(self.A.scale, self.D.scale, max_entry(self.B, self.C))
-
-    @cached_property
-    def _transpose(self) -> "Realization":
-        """:func:`transpose_realization` of this realization, built at first use."""
-        return Realization(A=self.A.transpose(), B=-self.C.T, C=-self.B.T, D=self.D.transpose())
-
-    @cached_property
-    def _zeros(self) -> np.ndarray:
-        """:func:`syspencils.spectra.system_zeros`: the companion pencil it describes, solved."""
-        from .spectra import solve_pencil
-        S = build_system_matrix(self).coeffs
-        n, d = S[0].shape[0], len(S) - 1
-        X = self.scale * np.eye(n * d, dtype=complex)
-        X[:n, :n] = S[d]
-        Y = np.zeros_like(X)
-        Y[:n] = np.hstack(S[d - 1::-1])
-        Y[n:, :-n] = -self.scale * np.eye(n * (d - 1))
-        return _freeze(solve_pencil(X, Y, left=False, right=False).eigenvalues)
-
-    @cached_property
-    def _samples(self) -> np.ndarray:
-        from .spectra import nonpole_samples
-        return _freeze(nonpole_samples(self, 10))
-
-    @cached_property
-    def _transfer(self) -> tuple:
-        return tuple(map(_freeze, _lift(self, self._samples, np.eye(self.r))))
-
-    @cached_property
-    def _transfer_dual(self) -> tuple:
-        return tuple(map(_freeze, _lift(self._transpose, self._samples, np.eye(self.r))))
-
-    @cached_property
-    def _l1s_data(self) -> tuple:
-        from .spaces import _l1s_data
-        return tuple(map(_freeze, _l1s_data(self, self._samples)))
-
-    @cached_property
-    def _coeff_rows(self) -> tuple:  # [A_m ... A_0] and [D_k ... D_0]
-        return tuple(_freeze(np.hstack(P.coeffs[::-1]), copy=False) for P in (self.A, self.D))
-
-    @cached_property
-    def _fit_rows(self) -> tuple:
-        from .spaces import _fit_row
-        return tuple(map(_fit_row, self._coeff_rows))
-
-    @cached_property
-    def _c1(self) -> tuple:  # (X, Y, v, w) of C1
-        from .spaces import _companion_parts
-        return tuple(_freeze(a, copy=False) for a in _companion_parts(self))
-
-    @cached_property
-    def _dl(self) -> tuple:  # (X, Y, v, w) of DL
-        from .spaces import _dl_parts
-        return tuple(_freeze(a, copy=False) for a in _dl_parts(self, 1.0))
-
-    @cached_property
-    def _dl_signed(self) -> tuple:  # (X, Y, v, w) behind the sym and herm members
-        from .spaces import _dl_parts
-        return tuple(_freeze(a, copy=False) for a in _dl_parts(self, -1.0))
-
-    def _structured(self, op) -> bool:  # op(A_i) = A_i, op(D_i) = D_i and op(C) = B
-        return max_entry(*(c - op(c) for c in self.A.coeffs + self.D.coeffs),
-                         op(self.C) - self.B) <= 1e-10 * self.scale
-
-    @cached_property
-    def _symmetric(self) -> bool:  # is_symmetric_realization
-        return self._structured(np.transpose)
-
-    @cached_property
-    def _hermitian(self) -> bool:  # is_hermitian_realization
-        return self._structured(lambda M: M.conj().T)
 
     @property
     def n(self) -> int:
@@ -411,7 +353,7 @@ def solve_state(R: Realization, lam, rhs: np.ndarray) -> np.ndarray:
 def solve_state_left(R: Realization, lam: complex, lhs: np.ndarray) -> np.ndarray:
     """Solve ``x A(lambda) = lhs`` (returns ``lhs A(lambda)^{-1}``): the transpose of
     :func:`solve_state` of :func:`transpose_realization`, whose state matrix is A^T."""
-    return solve_state(R._transpose, lam, lhs.T).T
+    return solve_state(transpose_realization(R), lam, lhs.T).T
 
 
 def _kron_col(v: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -464,16 +406,26 @@ def transpose_realization(R: Realization) -> Realization:
     keeps the off-diagonal sign convention of the first-companion ansatz
     spaces intact under transposition, so that transposes of second-space
     members land exactly in the first space of this realization.  Built once
-    per realization and stored, as :attr:`Realization.scale` is.
+    per realization and kept on it (:func:`_kept`): every left-side solve, lift
+    and recovery runs on it.
     """
-    return R._transpose
+    return _kept(R, "_transpose", _transposed)
+
+
+def _transposed(R: Realization) -> Realization:
+    return Realization(A=R.A.transpose(), B=-R.C.T, C=-R.B.T, D=R.D.transpose())
+
+
+def _structured(R: Realization, op) -> bool:  # op(A_i) = A_i, op(D_i) = D_i and op(C) = B
+    return max_entry(*(c - op(c) for c in R.A.coeffs + R.D.coeffs),
+                     op(R.C) - R.B) <= 1e-10 * R.scale
 
 
 def is_symmetric_realization(R: Realization) -> bool:
-    """True when all A_i, D_i are symmetric and C^T = B, to ``1e-10 R.scale``."""
-    return R._symmetric
+    """True when all A_i, D_i are symmetric and C^T = B, to ``1e-10 R.scale``; kept on R."""
+    return _kept(R, "_symmetric", lambda R: _structured(R, np.transpose))
 
 
 def is_hermitian_realization(R: Realization) -> bool:
-    """True when all A_i, D_i are Hermitian and C* = B, to ``1e-10 R.scale``."""
-    return R._hermitian
+    """True when all A_i, D_i are Hermitian and C* = B, to ``1e-10 R.scale``; kept on R."""
+    return _kept(R, "_hermitian", lambda R: _structured(R, lambda M: M.conj().T))

@@ -29,6 +29,7 @@ from .core import (
     BlockDims,
     Realization,
     _assemble_lift,
+    _kept,
     _kron_col,
     _lift,
     _points,
@@ -144,7 +145,7 @@ def _l1_parts(R: Realization, v, w, W, W1):
     w = _as_vector(w, k, "w")
     W = _as_free_block(W, m * n, (m - 1) * n, "W")
     W1 = _as_free_block(W1, k * r, (k - 1) * r, "W1")
-    t, size, (KA, KD) = m * n, m * n + k * r, R._coeff_rows
+    t, size, (KA, KD) = m * n, m * n + k * r, _kept(R, "_coeff_rows", _coeff_rows)
     X = np.zeros((size, size), dtype=complex)
     Y = np.zeros((size, size), dtype=complex)
     for lo, hi, b, u, K, F in ((0, t, n, v, KA, W), (t, size, r, w, KD, W1)):
@@ -156,6 +157,11 @@ def _l1_parts(R: Realization, v, w, W, W1):
     Y[:t, size - r:] = -_kron_col(v, R.B)
     Y[t:, t - n:t] = _kron_col(w, R.C)
     return X, Y, v, w
+
+
+def _coeff_rows(R: Realization) -> tuple:
+    """``[A_m ... A_0]`` and ``[D_k ... D_0]``, which every first-space member tensors."""
+    return tuple(np.hstack(P.coeffs[::-1]) for P in (R.A, R.D))
 
 
 def build_pencil_L1(R: Realization, v, w, W=None, W1=None, space: str = SPACE_L1G) -> AnsatzPencil:
@@ -204,12 +210,12 @@ def _fresh(parts, dims: BlockDims, space: str, alpha=None) -> AnsatzPencil:
 
 def build_C1(R: Realization) -> AnsatzPencil:
     """First companion pencil, ansatz (e_1, e_1): a fresh copy of the one kept on R."""
-    return _fresh(R._c1, R.dims, SPACE_L1G)
+    return _fresh(_kept(R, "_c1", _companion_parts), R.dims, SPACE_L1G)
 
 
 def build_C2(R: Realization) -> AnsatzPencil:
     """Second companion pencil, ansatz (e_1, e_1): the transposed C1 kept on the transpose."""
-    X, Y, s, z = transpose_realization(R)._c1
+    X, Y, s, z = _kept(transpose_realization(R), "_c1", _companion_parts)
     return _fresh((X.T, Y.T, s, z), R.dims, SPACE_L2G)
 
 
@@ -244,7 +250,9 @@ def _one_dimensional(R: Realization, space: str, alpha=None) -> AnsatzPencil:
         raise StructureError("realization is not symmetric (A_i, D_i symmetric, C^T = B)")
     if space == SPACE_HERM and not is_hermitian_realization(R):
         raise StructureError("realization is not Hermitian (A_i, D_i Hermitian, C* = B)")
-    return _fresh(R._dl if space == SPACE_DL else R._dl_signed, R.dims, space, alpha)
+    parts = (_kept(R, "_dl", lambda R: _dl_parts(R, 1.0)) if space == SPACE_DL
+             else _kept(R, "_dl_signed", lambda R: _dl_parts(R, -1.0)))
+    return _fresh(parts, R.dims, space, alpha)
 
 
 def build_DL(R: Realization) -> AnsatzPencil:
@@ -322,7 +330,8 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
 
     Z = block_shift_sum(X, Y, dims)
     ct = (m + 1) * n
-    (K_A, fit_A, norm_A), (K_D, fit_D, norm_D) = R._fit_rows
+    (K_A, fit_A, norm_A), (K_D, fit_D, norm_D) = _kept(
+        R, "_fit_rows", lambda R: tuple(map(_fit_row, _kept(R, "_coeff_rows", _coeff_rows))))
     v = Z[:t, :ct].reshape(m, -1) @ fit_A / norm_A
     w = Z[t:, ct:].reshape(k, -1) @ fit_D / norm_D
 
@@ -412,15 +421,19 @@ def residual_ansatz(P: AnsatzPencil, R: Realization, lam_samples) -> float:
     lams = np.asarray(lam_samples, dtype=complex).reshape(-1)
     if lams.size == 0:
         return 0.0
-    kept = lam_samples is vars(R).get("_samples")  # verify's points: R keeps its data there
+    kept = lam_samples is vars(R).get("_samples")  # verify's points: R keeps their data
+
+    def data(name, compute):  # compute(R) at the points, kept on R for verify's
+        return _kept(R, name, compute) if kept else compute(R)
+
     if P.space == SPACE_L1S:
-        M, TA, TD = R._l1s_data if kept else _l1s_data(R, lams)
+        M, TA, TD = data("_l1s_data", lambda R: _l1s_data(R, lams))
         target = np.concatenate([_kron_col(P.v, TA), _kron_col(P.w, TD)], axis=1)
         return _max_deviation(P.X, P.Y, lams, M, target)
     sides = []
     if P.space != SPACE_L2G:
-        sides.append((P.X, P.Y, R._transfer if kept else _lift(R, lams, np.eye(R.r))))
+        sides.append((P.X, P.Y, data("_transfer", lambda R: _lift(R, lams, np.eye(R.r)))))
     if P.space in (SPACE_L2G, SPACE_DL):
-        sides.append((P.X.T, P.Y.T, R._transfer_dual if kept else
-                      _lift(transpose_realization(R), lams, np.eye(R.r))))
+        sides.append((P.X.T, P.Y.T, data("_transfer_dual", lambda R: _lift(
+            transpose_realization(R), lams, np.eye(R.r)))))
     return max(_max_deviation(X, Y, lams, M, _kron_col(P.w, G)) for X, Y, (M, G) in sides)

@@ -23,12 +23,15 @@ from .core import (
     BlockDims,
     Realization,
     _assemble_lift,
+    _kept,
     _lift,
     _solve_lift,
+    build_system_matrix,
     eval_polymat,
     max_entry,
     numerical_rank,
     probe_solve,
+    transpose_realization,
 )
 from .errors import (
     DegenerateVector,
@@ -88,7 +91,18 @@ def system_zeros(R: Realization) -> np.ndarray:
     finds S(lambda) singular.  The zeros are computed once per realization and kept
     on it as a read-only array; SingularSystem keeps nothing and is raised on every call.
     """
-    return R._zeros
+    return _kept(R, "_zeros", _companion_zeros)
+
+
+def _companion_zeros(R: Realization) -> np.ndarray:
+    S = build_system_matrix(R).coeffs
+    n, d = S[0].shape[0], len(S) - 1
+    X = R.scale * np.eye(n * d, dtype=complex)
+    X[:n, :n] = S[d]
+    Y = np.zeros_like(X)
+    Y[:n] = np.hstack(S[d - 1::-1])
+    Y[n:, :-n] = -R.scale * np.eye(n * (d - 1))
+    return solve_pencil(X, Y, left=False, right=False).eigenvalues
 
 
 @dataclass(frozen=True)
@@ -441,7 +455,7 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     member = object.__new__(AnsatzPencil)  # z_rank reads Y and the (new) fitted pair alone
     vars(member).update(vars(P), X=None, Y=np.copy(P.Y))
 
-    res = residual_ansatz(P, R, R._samples)
+    res = residual_ansatz(P, R, _kept(R, "_samples", lambda R: nonpole_samples(R, 10)))
 
     try:
         eigs = solve_pencil(P.X, P.Y, left=False)
@@ -478,7 +492,7 @@ def lift_right(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
 def lift_left(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
     """Left analogue: ``[conj(Lambda) kron (-C A^{-1})* y ; conj(Lambda) kron y]``, the
     conjugated :func:`lift_right` of ``conj(y)`` on :func:`transpose_realization`."""
-    return lift_right(R._transpose, np.conj(y), lam0).conj()
+    return lift_right(transpose_realization(R), np.conj(y), lam0).conj()
 
 
 @dataclass(frozen=True)
@@ -553,7 +567,7 @@ def recover_left(u: np.ndarray, dims: BlockDims, R: Realization,
     member lifts ``y`` with ``y* G(lam0) = 0``, so ``conj(u)`` lifts ``conj(y)`` on
     :func:`transpose_realization`.  ``x`` is y and ``transfer_residual`` is ``||y* G(lam0)||``;
     the structural residual, read later, is that of ``conj(u)`` on the transpose."""
-    rec = recover_right(np.conj(u), dims, R._transpose, lam0)
+    rec = recover_right(np.conj(u), dims, transpose_realization(R), lam0)
     return RecoveredVector(rec.x.conj(), rec.transfer_residual, rec.lifted_from)
 
 
@@ -570,4 +584,4 @@ def f_map(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
 def g_map(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
     """Null-space map ``y -> [(-C A(lam0)^{-1})* y ; y]`` for left vectors: the conjugated
     :func:`f_map` of ``conj(y)`` on :func:`transpose_realization`."""
-    return f_map(R._transpose, np.conj(y), lam0).conj()
+    return f_map(transpose_realization(R), np.conj(y), lam0).conj()

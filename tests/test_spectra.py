@@ -608,7 +608,8 @@ def test_nonpole_samples_make_no_svd(monkeypatch):
     calls, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
     R = random_realization(np.random.default_rng(22), 2, 3, 2, 2)
-    assert nonpole_samples(R, 10).size == 10 and R._samples.size == 10
+    verify_linearization(build_C1(R), R)  # keeps verify's ten points on R
+    assert nonpole_samples(R, 10).size == 10 and vars(R)["_samples"].size == 10
     assert calls == []
 
 
