@@ -21,6 +21,7 @@ first-space pencils of the sign-normalized transpose realization
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,10 +197,13 @@ def build_pencil_L2(R: Realization, s, z, W=None, W1=None) -> AnsatzPencil:
 
 
 def _companion_parts(R: Realization):
-    """(X, Y, v, w) of C1: ansatz pair (e_1, e_1), free blocks zeros over an identity."""
+    """(X, Y, v, w) of C1: ansatz pair (e_1, e_1), free blocks zeros over ``s I``, s the
+    power of two with ``s <= R.scale < 2s`` (1 for zero data), so C1 sits at the data's
+    scale as the reference companion of :func:`syspencils.spectra.system_zeros` does."""
     m, n, k, r = R.m, R.n, R.k, R.r
-    return _l1_parts(R, np.eye(m)[0], np.eye(k)[0], np.eye(m * n, (m - 1) * n, -n,
-                     dtype=complex), np.eye(k * r, (k - 1) * r, -r, dtype=complex))
+    s = math.ldexp(0.5, math.frexp(R.scale)[1]) if R.scale else 1.0
+    return _l1_parts(R, np.eye(m)[0], np.eye(k)[0], s * np.eye(m * n, (m - 1) * n, -n,
+                     dtype=complex), s * np.eye(k * r, (k - 1) * r, -r, dtype=complex))
 
 
 def _fresh(parts, dims: BlockDims, space: str, alpha=None) -> AnsatzPencil:

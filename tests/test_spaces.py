@@ -441,9 +441,14 @@ def test_membership_equivalence_with_residual(r2):
         membership(P.X, Y, r2)
 
 
+def _companion_scale(R):
+    """The power of two s with s <= R.scale < 2s, which C1's identity free blocks carry."""
+    return 2.0 ** (np.frexp(R.scale)[1] - 1)
+
+
 def test_first_unit_ansatz_block_pattern():
     # ansatz (alpha e1, beta e1) forces the corollary block pattern; the
-    # companion pencil matches it with Z = -I
+    # companion pencil matches it with Z = -s I, s the power of two at the data's scale
     rng = np.random.default_rng(21)
     R = random_realization(rng, 3, 2, 2, 2)
     m, n, k, r = 3, 2, 2, 2
@@ -461,7 +466,9 @@ def test_first_unit_ansatz_block_pattern():
     assert np.allclose(P.Y[n:t, t:], 0)
     C1 = build_C1(R)
     Z = C1.Y[n:t, :t - n]
-    assert np.allclose(Z, -np.eye((m - 1) * n))
+    s = _companion_scale(R)
+    assert s <= R.scale < 2 * s
+    assert np.array_equal(Z, -s * np.eye((m - 1) * n))
 
 
 def test_dim_space_formula():
@@ -658,8 +665,9 @@ def _kept_arrays(R):
 def _companion_reference(R, second):
     """C1 or C2 as the general builders make them, from the companion free blocks."""
     m, n, k, r = R.m, R.n, R.k, R.r
-    args = (R, np.eye(m)[0], np.eye(k)[0], np.eye(m * n, (m - 1) * n, -n),
-            np.eye(k * r, (k - 1) * r, -r))
+    s = _companion_scale(R)
+    args = (R, np.eye(m)[0], np.eye(k)[0], s * np.eye(m * n, (m - 1) * n, -n),
+            s * np.eye(k * r, (k - 1) * r, -r))
     return build_pencil_L2(*args) if second else build_pencil_L1(*args)
 
 

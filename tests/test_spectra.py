@@ -659,6 +659,20 @@ def test_verify_does_not_depend_on_the_data_scale(kind, dims):
                 assert report.reason.startswith("membership"), (c, report.reason)
 
 
+@pytest.mark.parametrize("build", [build_C1, build_C2])
+def test_companions_built_at_any_data_scale_verify_with_full_z_rank(build):
+    # C1's identity free blocks sit at the data's scale (a power of two): with unit
+    # blocks, verify called the companions of data at 1e8 and beyond, or at 1e-12
+    # and below, singular, and their Z-rank read (False, False)
+    for seed in range(3):
+        R = random_realization(np.random.default_rng(seed), 2, 2, 2, 1)
+        for c in (1e-20, 1e-16, 1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12, 1e16, 1e20):
+            Rc = scaled_realization(R, c)
+            report = verify_linearization(build(Rc), Rc)
+            assert (report.verdict, report.reason) == ("pass", ""), (seed, c, report.reason)
+            assert report.full_z_rank == (True, True), (seed, c)
+
+
 def _scalar_realization(c, a_coeffs, b):
     """A = c a(lambda), B = C = b, D = b lambda, from ascending coefficients of a."""
     return Realization(A=MatrixPolynomial.from_scalars(*(c * x for x in a_coeffs)),
