@@ -219,8 +219,16 @@ def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool, norms: tuple[float, 
 
 
 def _column_norms(V: np.ndarray) -> np.ndarray:
-    """Column 2-norms of V, by the expression ``np.linalg.norm(V, axis=0)`` evaluates."""
-    return np.sqrt(np.add.reduce((V.conj() * V).real, axis=0))
+    """Column 2-norms of V, by the expression ``np.linalg.norm(V, axis=0)`` evaluates.  A
+    column whose sum of squares is not a positive float (it overflowed or underflowed,
+    or the column is zero) is taken again by :func:`_norm`, which rescales it."""
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce((V.conj() * V).real, axis=0)
+    norms, listed = np.sqrt(sq), sq.tolist()
+    if listed and not 0.0 < min(listed) <= max(listed) < math.inf:
+        for j in np.flatnonzero(~((sq > 0.0) & (sq < math.inf))):
+            norms[j] = _norm(V[:, j])
+    return norms
 
 
 def _backward_errors(X, Y, norms, lam, V) -> np.ndarray:

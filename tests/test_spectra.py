@@ -299,6 +299,37 @@ def test_column_norms_equal_numpy_norm_bit_for_bit():
             assert got.tobytes() == expected.tobytes(), (n, scale)
 
 
+def test_column_norms_rescale_only_columns_whose_squares_leave_the_float_range():
+    import syspencils.spectra as spectra
+
+    rng = np.random.default_rng(12)
+    V = cgauss(rng, 6, 4)
+    V[:, 1] *= 1e200  # its squares overflow
+    V[:, 2] *= 1e-200  # its squares underflow
+    V[:, 3] = 0.0
+    want = np.array([np.linalg.norm(V[:, j] / s) * s for j, s in enumerate((1, 1e200, 1e-200, 1))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spectra._column_norms(V)
+    assert got[0].tobytes() == np.linalg.norm(V[:, 0]).tobytes() and got[3] == 0.0
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("build", [build_C1, build_DL])
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_backward_errors_at_extreme_data_scales(build, c):
+    # the squared residual entries overflowed at 1e200 (backward errors inf, with a
+    # RuntimeWarning) and underflowed at 1e-200 (exactly 0: the 10 N eps bound held
+    # vacuously); rescaled, they read as at scale 1
+    R = scaled_realization(random_realization(np.random.default_rng(0), 2, 2, 2, 1), c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_linearization(build(R), R)
+    eta = np.array(report.eig_residuals)
+    assert report.passed and eta.size == report.oracle_roots.size > 0
+    assert ((0.0 < eta) & (eta <= 10 * R.dims.size * np.finfo(float).eps)).all()
+
+
 def test_solve_pencil_falls_back_to_qz_on_a_large_backward_error():
     import syspencils.spectra as spectra
 
