@@ -14,6 +14,7 @@ import sys
 from contextlib import contextmanager
 
 from . import spaces
+from .basis import BasisSpec, _change_basis, tilde_to_monomial
 from .core import BlockDims
 from .errors import PencilError
 from .io import (
@@ -87,10 +88,6 @@ def _non_negative_int(text: str) -> int:
 
 
 def _parse_basis(token: str, d: int):
-    from .basis import BasisSpec
-
-    if token == "monomial":
-        return BasisSpec(kind="monomial", d=d)
     if token == "chebyshev":
         return BasisSpec(kind="chebyshev_T", d=d)
     if token.startswith("newton:"):
@@ -110,6 +107,12 @@ def _reading():
         raise ValueError(str(exc)) from exc
 
 
+def _check_space(space: str, R) -> None:
+    """The l1s identity pads the bottom partition with I_{r x n}: ``--space l1s`` needs r <= n."""
+    if space == spaces.SPACE_L1S and R.r > R.n:
+        raise ValueError(f"--space {space} needs r <= n, got r={R.r}, n={R.n}")
+
+
 def _basis_specs(basis: str, P, R):
     """The (A, D) basis specs a pencil file is expressed in; None when monomial."""
     if basis == "monomial":
@@ -126,6 +129,7 @@ def cmd_build(args) -> int:
     with _reading():  # an explicit pencil is input: the problem file fixes all of it
         R, options = load_problem(args.input)
         if args.source == "explicit":
+            _check_space(args.space, R)
             P = _build_explicit(R, args.space or spaces.SPACE_L1G, options)
     if args.source != "explicit":
         P = _BUILDERS[args.source](R)
@@ -133,8 +137,6 @@ def cmd_build(args) -> int:
         specs = _basis_specs(args.basis, P, R)
         del R  # and the pencil it keeps: not read again while the file is written
         if specs:
-            from .basis import _change_basis
-
             P = _change_basis(P, *specs, to_monomial=False)
     save_pencil(args.output, P)
     return EXIT_PASS
@@ -148,11 +150,7 @@ def _load_pencil_and_problem(args):
         if P.dims != R.dims:
             raise ValueError(f"pencil dims {P.dims} do not match problem dims {R.dims}")
         specs = _basis_specs(args.basis, P, R)
-        if not specs:
-            return P, R
-        from .basis import tilde_to_monomial
-
-        return tilde_to_monomial(P, *specs), R
+        return (tilde_to_monomial(P, *specs) if specs else P), R
 
 
 def cmd_verify(args) -> int:
@@ -189,8 +187,7 @@ def cmd_solve(args) -> int:
 def cmd_sample(args) -> int:
     with _reading():
         R, _ = load_problem(args.input)
-    if args.space == spaces.SPACE_L1S and R.r > R.n:  # an input error, as on build
-        raise ValueError(f"--space {args.space} needs r <= n, got r={R.r}, n={R.n}")
+    _check_space(args.space, R)
     passes = []
     for i in range(args.count):
         P = spaces.sample_space(R, seed=args.seed + i, space=args.space)
