@@ -197,9 +197,8 @@ def build_pencil_L2(R: Realization, s, z, W=None, W1=None) -> AnsatzPencil:
 
 
 def _companion_parts(R: Realization):
-    """(X, Y, v, w) of C1: ansatz pair (e_1, e_1), free blocks zeros over ``s I``, s the
-    power of two with ``s <= R.scale < 2s`` (1 for zero data), so C1 sits at the data's
-    scale as the reference companion of :func:`syspencils.spectra.system_zeros` does."""
+    """(X, Y, v, w) of C1: ansatz pair (e_1, e_1), free blocks zeros over ``s I``, at the
+    data's scale: s is the power of two with ``s <= R.scale < 2s`` (1 for zero data)."""
     m, n, k, r = R.m, R.n, R.k, R.r
     s = math.ldexp(0.5, math.frexp(R.scale)[1]) if R.scale else 1.0
     return _l1_parts(R, np.eye(m)[0], np.eye(k)[0], s * np.eye(m * n, (m - 1) * n, -n,

@@ -550,10 +550,12 @@ def test_cli_non_finite_newton_node_is_input_error(tmp_path, token):
     assert "Traceback" not in done.stderr
 
 
-@pytest.mark.parametrize("verb", ["build", "sample"])
-def test_cli_l1s_space_with_r_above_n_is_input_error(tmp_path, capsys, verb):
+@pytest.mark.parametrize("verb, message", [
+    ("build", "--space l1s needs r <= n, got r=3, n=2"),
+    ("sample", "--space l1s needs r <= n, got r=3, n=2")])
+def test_cli_l1s_space_with_r_above_n_is_input_error(tmp_path, capsys, verb, message):
     # the system-matrix identity pads with I_{r x n}, so (2, 2, 2, 3) data fit no l1s
-    # member; both verbs name the flag by one check
+    # member; both verbs name the flag, by one check
     prob = tmp_path / "p.json"
     R = random_realization(np.random.default_rng(5), 2, 2, 2, 3)
     _write_problem(prob, R, {"ansatz": {"v": encode_vector(np.ones(2)),
@@ -561,7 +563,7 @@ def test_cli_l1s_space_with_r_above_n_is_input_error(tmp_path, capsys, verb):
     files = (["--output", str(tmp_path / "x.json"), "--source", "explicit"] if verb == "build"
              else ["--count", "2"])
     assert main([verb, "--input", str(prob), *files, "--space", "l1s"]) == 2
-    assert capsys.readouterr().err == "error: --space l1s needs r <= n, got r=3, n=2\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_build_and_dim_do_not_load_scipy(tmp_path):

@@ -658,8 +658,8 @@ def _arrays(P):
 
 def _kept_arrays(R):
     """Every array a builder may copy or read from R and its transpose."""
-    return [a for Q in (R, transpose_realization(R)) for name in ("_c1", "_dl", "_dl_signed", "_coeff_rows")
-            for a in vars(Q).get(name, ())]
+    return [a for Q in (R, transpose_realization(R))
+            for name in ("_c1", "_dl", "_dl_signed", "_coeff_rows") for a in vars(Q).get(name, ())]
 
 
 def _companion_reference(R, second):
