@@ -171,15 +171,16 @@ def cmd_solve(args) -> int:
     with _json_tree("solve report"):  # N vectors of [re, im] lists, built and printed
         eigs = solve_pencil(P.X, P.Y, left=left, right=not left)
         vecs = eigs.left if left else eigs.right
-        out = dict(eigenvalues=encode_vector(eigs.eigenvalues), eigenvectors=[], residuals=[])
+        out = dict(eigenvalues=encode_vector(eigs.eigenvalues), eigenvectors=[],
+                   system_residuals=[])
         for i, lam in enumerate(eigs.eigenvalues):
             try:
                 rec = recover(vecs[:, i], P.dims, R, lam)
                 out["eigenvectors"].append(encode_vector(rec.x))
-                out["residuals"].append(encode_float(rec.transfer_residual))
+                out["system_residuals"].append(encode_float(rec.system_residual))
             except PencilError:
                 out["eigenvectors"].append(None)
-                out["residuals"].append(None)
+                out["system_residuals"].append(None)
         _emit(out)
     return EXIT_PASS
 

@@ -152,11 +152,12 @@ def _points(lam):
 
 def eval_polymat(P: MatrixPolynomial, lam) -> np.ndarray:
     """Evaluate ``P(lambda)`` by Horner's scheme, into a new writable array; a 1-D array
-    of p points gives shape (p, rows, cols), each slice the scalar call's bit for bit."""
+    of p points gives shape (p, rows, cols), each slice the scalar call's bit for bit.
+    Any other array of points broadcasts against (rows, cols), at every degree."""
     at = _points(lam)
     *rest, acc = P.coeffs
-    if not rest:  # at is lam unless lam holds points: then one copy per point
-        return np.array(acc) if at is lam else np.repeat(acc[None], len(lam), axis=0)
+    if not rest:  # a constant: one copy of it per point
+        return np.array(np.broadcast_to(acc, np.broadcast_shapes(np.shape(at), acc.shape)))
     for c in reversed(rest):
         acc = acc * at + c
     return acc

@@ -13,6 +13,7 @@ sufficient-condition certificate, is computed when a report's ``full_z_rank`` is
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -38,6 +39,7 @@ from .errors import (
     DimensionError,
     InterpolationError,
     NotAMember,
+    PoleError,
     SingularSystem,
     SolverFailure,
     ZeroAnsatz,
@@ -218,11 +220,13 @@ def _shift_invert(X: np.ndarray, Y: np.ndarray, left: bool, norms: tuple[float, 
     return sigma * mu - 1.0, mu, vl, u
 
 
-def _column_norms(V: np.ndarray) -> np.ndarray:
+def _column_norms(V: np.ndarray, bound: float = math.inf) -> np.ndarray:
     """Column 2-norms of V, by the expression ``np.linalg.norm(V, axis=0)`` evaluates.  A
     column whose sum of squares is not a positive float (it overflowed or underflowed,
-    or the column is zero) is taken again by :func:`_norm`, which rescales it."""
-    with np.errstate(over="ignore"):
+    or the column is zero) is taken again by :func:`_norm`, which rescales it.  ``bound``
+    bounds the moduli of V's entries where the caller knows it: below 2^500 no sum of
+    squares can overflow (for fewer than 2^23 rows), and no errstate context is entered."""
+    with np.errstate(over="ignore") if not bound < 2.0 ** 500 else contextlib.nullcontext():
         sq = np.add.reduce((V.conj() * V).real, axis=0)
     norms, listed = np.sqrt(sq), sq.tolist()
     if listed and not 0.0 < min(listed) <= max(listed) < math.inf:
@@ -232,21 +236,26 @@ def _column_norms(V: np.ndarray) -> np.ndarray:
 
 
 def _backward_errors(X, Y, norms, lam, V) -> np.ndarray:
-    """``||(lambda X + Y) u||`` over ``|lambda| ||X||_F + ||Y||_F``, per unit column u of V."""
+    """``||(lambda X + Y) u||`` over ``|lambda| ||X||_F + ||Y||_F``, per unit column u of V,
+    for finite eigenvalues lambda: ``|lambda| < 1 / INF_EIG_RTOL`` bounds every entry of
+    the residuals by ``||X||_F / INF_EIG_RTOL + ||Y||_F``."""
     norm_x, norm_y = norms  # ||X||_F, ||Y||_F
-    return (_column_norms(lam * (X @ V) + Y @ V)
+    return (_column_norms(lam * (X @ V) + Y @ V, norm_x / INF_EIG_RTOL + norm_y)
             / np.maximum(np.abs(lam) * norm_x + norm_y, 1e-300))
 
 
 def _finite_pairs(X, Y, norms, alpha, beta, vl, vr) -> PencilEigs:
-    """Finite eigentriples from homogeneous eigenvalues and raw vectors (None if absent)."""
+    """Finite eigentriples from homogeneous eigenvalues and raw vectors (None if absent).
+    Right vectors come from ``numpy.linalg.eig`` or QZ with unit columns; the left ones
+    of the shift-and-invert path are rows of an inverse, of any size."""
     finite = np.abs(beta) > INF_EIG_RTOL * np.hypot(np.abs(alpha), np.abs(beta))
 
-    def unit(V):
+    def unit(V, bound):
         V = V[:, finite]
-        return V / np.maximum(_column_norms(V), 1e-300)
+        return V / np.maximum(_column_norms(V, bound), 1e-300)
 
-    vl, vr = (None if V is None else unit(V) for V in (vl, vr))
+    vl = None if vl is None else unit(vl, math.inf)
+    vr = None if vr is None else unit(vr, 1.0)
     lam = alpha[finite] / beta[finite]
     eta = None if vr is None else _backward_errors(X, Y, norms, lam, vr)
     return PencilEigs(eigenvalues=lam, right=vr, left=vl, backward_errors=eta)
@@ -507,20 +516,22 @@ def lift_left(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
 class RecoveredVector:
     """Eigenvector recovered from a lifted pencil eigenvector.
 
-    ``x`` is unit norm, read from the largest bottom block (:func:`recover_right`);
-    ``transfer_residual`` is ``||G(lam0) x||`` for a right vector and ``||x* G(lam0)||``
-    for a left one, from the solve with A(lam0) that lifts ``x``.
+    ``x`` is unit norm, read from the largest bottom block (:func:`recover_right`), and
+    ``system_residual`` is the backward error of ``z = [F; x]`` as a null vector of
+    S(lam0), with F read from the top partition of the pencil vector (no solve).
 
-    ``structural_residual``, the distance ``||c u - L||`` of the pencil vector u to the
-    lift L of x at the best scale c, is computed at its first read and kept (NaN when
-    ``lifted_from`` is None).  ``lifted_from`` is what it reads, ``(u, lam0, F, x, R)`` of
+    ``transfer_residual`` (``||G(lam0) x||`` for a right vector, ``||x* G(lam0)||`` for a
+    left one) and ``structural_residual`` (the distance ``||c u - L||`` of the pencil
+    vector u to the lift L of x at the best scale c) are computed at their first read
+    and kept.  Both come from one guarded solve ``F = A(lam0)^{-1} B x``, made at the
+    first read of either; they are NaN where the pole guard calls lam0 a pole, and when
+    ``lifted_from`` is None.  ``lifted_from`` is what they read, ``(u, lam0, x, R)`` of
     the right-side recovery (on the transpose realization for a left vector): the
-    recovery's own copies of u and of x as a column, and its ``F = A(lam0)^{-1} B x``, so
-    the read assembles L without a second solve.
+    recovery's own copies of u and of x as a column.
     """
 
     x: np.ndarray
-    transfer_residual: float
+    system_residual: float
     lifted_from: InitVar[tuple | None] = None
 
     def __post_init__(self, lifted_from):
@@ -528,24 +539,53 @@ class RecoveredVector:
         object.__setattr__(self, "lifted_from", lifted_from)
 
     @cached_property
-    def structural_residual(self) -> float:
+    def _solved(self):
+        """``(F, G(lam0) x)`` of :func:`core._solve_lift`, or None at a pole or without state."""
         if self.lifted_from is None:
+            return None
+        _, lam0, col, R = self.lifted_from
+        try:
+            return _solve_lift(R, lam0, col)
+        except PoleError:
+            return None
+
+    @cached_property
+    def transfer_residual(self) -> float:
+        return math.nan if self._solved is None else _norm(self._solved[1][:, 0])
+
+    @cached_property
+    def structural_residual(self) -> float:
+        if self._solved is None:
             return math.nan
-        u, lam0, F, col, R = self.lifted_from
-        L = _assemble_lift(R, lam0, F, col)[:, 0]
+        u, lam0, col, R = self.lifted_from
+        L = _assemble_lift(R, lam0, self._solved[0], col)[:, 0]
         c = np.vdot(u, L) / _norm(u) ** 2
         return _norm(c * u - L)
+
+
+def _system_rows(R: Realization) -> tuple:
+    """``([S_d ... S_0], (||S_0||_F, ..., ||S_d||_F))``, d = max(m, k): the coefficient row
+    and the coefficient norms of S(lambda), kept on R by :func:`recover_right`."""
+    S = build_system_matrix(R).coeffs
+    return np.hstack(S[::-1]), tuple(_norm(c) for c in S)
 
 
 def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
                   lam0: complex) -> RecoveredVector:
     """Extract the transfer-function eigenvector from a right pencil eigenvector.
 
-    The bottom partition of ``u`` is ``Lambda_{k-1}(lam0) kron x``: x is its block of
-    largest norm divided by that block's power of lam0 (the trailing block when
-    ``|lam0| <= 1``), at unit norm (DegenerateVector when that block is negligible).
-    One guarded solve with A(lam0) gives the transfer residual; the structural residual
-    is computed from what the recovery keeps when it is read (:class:`RecoveredVector`).
+    A first-space eigenvector is ``u = [Lambda_{m-1}(lam0) kron F ; Lambda_{k-1}(lam0) kron x]``
+    with ``[F; x]`` in the null space of S(lam0) (``F = A(lam0)^{-1} B x`` away from poles).
+    x is the bottom block of largest norm divided by its power of lam0, at unit norm
+    (DegenerateVector when that block is negligible; the trailing block when
+    ``|lam0| <= 1`` and u is a lift).  Each top block divided by its power, at the scale
+    that took the bottom block to x, is a candidate F (0 where that power is not a
+    usable float).  ``system_residual`` is the smallest normwise backward error
+    ``||S(lam0) z|| / ((sum_j |lam0|^j ||S_j||_F) ||z||)`` of ``z = [F; x]`` over the m
+    candidates (Tisseur, LAA 309, 2000).  It takes one product of the coefficient row
+    ``[S_d ... S_0]`` with the power stacks of the z, so it forms no A(lam0), and it is
+    unchanged when the data are scaled by any c > 0.  No solve with A(lam0) runs: the
+    transfer and structural residuals are computed when read (:class:`RecoveredVector`).
     DimensionError when ``dims`` are not ``R.dims`` or u does not have their size.
     """
     if dims != R.dims:
@@ -563,20 +603,37 @@ def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
     if norm_j <= 1e-12 * norm_u or not 1e-300 <= abs(power) < math.inf:
         raise DegenerateVector("no block of the bottom partition is usable")
     x = blocks[j] / (norm_j * power / abs(power))  # unit norm
-    col = x.reshape(-1, 1)
-    F, Gx = _solve_lift(R, lam0, col)
-    return RecoveredVector(x=x, transfer_residual=_norm(Gx[:, 0]),
-                           lifted_from=(u, lam0, F, col.copy(), R))
+    row, norms_S = _kept(R, "_system_rows", _system_rows)
+    powers = [lam0 ** i for i in range(len(norms_S) - 1, -1, -1)]
+    # which top block reads F best depends on the ansatz pair, which u does not carry:
+    # the leading block of a DL member with pair (e_m, e_k) can be off by 1e-10
+    scales = [abs(power) / (norm_j * p) if 1e-300 <= abs(p) < math.inf else 0.0
+              for p in powers[-dims.m:]]
+    Z = np.empty((dims.n + dims.r, dims.m), dtype=complex)  # the candidate z, columnwise
+    Z[:dims.n] = u[:dims.top].reshape(dims.m, dims.n).T * scales  # Lambda_{m-1} kron F
+    Z[dims.n:] = x[:, None]
+    weight, modulus = 0.0, float(abs(lam0))
+    for norm in reversed(norms_S):
+        weight = weight * modulus + norm
+    SZ = row @ (np.array(powers)[:, None, None] * Z).reshape(-1, dims.m)  # S(lam0) z
+    # one pass of column norms for S(lam0) z and z, whose entries are at most
+    # weight ||z|| and ||z||
+    both = _column_norms(np.concatenate([SZ, Z], axis=1),
+                         max(weight, 1.0) * (norm_u * max(map(abs, scales)) + 1.0))
+    eta = both[:dims.m] / np.maximum(weight * both[dims.m:], 1e-300)
+    return RecoveredVector(x=x, system_residual=float(eta.min()),
+                           lifted_from=(u, lam0, x.reshape(-1, 1).copy(), R))
 
 
 def recover_left(u: np.ndarray, dims: BlockDims, R: Realization,
                  lam0: complex) -> RecoveredVector:
     """Left analogue of :func:`recover_right`: a left pencil eigenvector u of a second-space
     member lifts ``y`` with ``y* G(lam0) = 0``, so ``conj(u)`` lifts ``conj(y)`` on
-    :func:`transpose_realization`.  ``x`` is y and ``transfer_residual`` is ``||y* G(lam0)||``;
-    the structural residual, read later, is that of ``conj(u)`` on the transpose."""
+    :func:`transpose_realization`.  ``x`` is y, and ``system_residual`` that of the
+    left null vector of S(lam0); the transfer residual ``||y* G(lam0)||`` and the
+    structural residual, read later, are those of ``conj(u)`` on the transpose."""
     rec = recover_right(np.conj(u), dims, transpose_realization(R), lam0)
-    return RecoveredVector(rec.x.conj(), rec.transfer_residual, rec.lifted_from)
+    return RecoveredVector(rec.x.conj(), rec.system_residual, rec.lifted_from)
 
 
 def f_map(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:

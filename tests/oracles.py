@@ -8,7 +8,8 @@ reference pencil eigenvalues come from scipy's QZ, never from the
 package's shift-and-invert path.  The per-point loops below are the
 references of the stacked sampler and l1s residual, and the row-by-row
 greedy loop that of the matching.  The eager structural residual is the
-formula recovery evaluated before the residual was computed on read, and the
+formula recovery evaluated before the residual was computed on read, the
+largest-bottom-block rule the x that recovery has always returned, and the
 copy-first Horner loop the former body of ``eval_polymat``.
 """
 
@@ -181,10 +182,23 @@ def eager_structural_residual(u, R: Realization, lam0, x) -> float:
     return _norm(c * u - L)
 
 
+def largest_bottom_block_x(u, dims, lam0) -> np.ndarray:
+    """x as right-side recovery reads it from a pencil vector u: the bottom block of
+    largest norm divided by its power of lam0, at unit norm."""
+    blocks = np.asarray(u, dtype=complex)[dims.top:].reshape(dims.k, dims.r)
+    norms = [_norm(b) for b in blocks]
+    j = norms.index(max(norms))
+    power = lam0 ** (dims.k - 1 - j)
+    return blocks[j] / (norms[j] * power / abs(power))
+
+
 def copy_first_horner(P, lam) -> np.ndarray:
     """Horner's scheme from a complex copy of the leading coefficient, the form
-    ``eval_polymat`` had before it started from ``c_m lambda + c_{m-1}``."""
-    acc = np.array(P.coeffs[-1], dtype=complex)
+    ``eval_polymat`` had before it started from ``c_m lambda + c_{m-1}``.  A constant
+    broadcasts against the points as a higher degree does: one copy per point."""
+    acc = np.array(np.broadcast_to(P.coeffs[-1], np.broadcast_shapes(np.shape(lam),
+                                                                     P.coeffs[-1].shape)),
+                   dtype=complex)
     for c in reversed(P.coeffs[:-1]):
         acc = acc * lam + c
     return acc

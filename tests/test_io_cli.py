@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,7 +29,9 @@ from syspencils import (
     build_pencil_L1,
     build_pencil_L2,
     build_symmetric,
+    eval_transfer,
     nonpole_samples,
+    recover_right,
     residual_ansatz,
     solve_pencil,
     tilde_to_monomial,
@@ -62,6 +65,13 @@ def _r2():
 
 def _write_problem(path, R, options=None):
     save_json(path, problem_to_dict(R, options))
+
+
+def _transfer_residuals(out, R):
+    """``||G(lambda) x||`` of each right eigenvector a ``solve`` report prints (None for null)."""
+    return [None if vec is None else float(np.linalg.norm(
+        eval_transfer(R, complex(*lam)) @ np.array([complex(re, im) for re, im in vec])))
+        for lam, vec in zip(out["eigenvalues"], out["eigenvectors"])]
 
 
 def test_matrix_round_trip_bit_exact():
@@ -199,7 +209,7 @@ def test_cli_solve_r1_double_root(tmp_path, capsys):
     eigs = np.array([complex(re, im) for re, im in out["eigenvalues"]])
     assert eigs.size == 2
     assert np.max(np.abs(eigs - 1.0)) < 1e-6  # double root at 1
-    assert all(res is not None and res < 1e-6 for res in out["residuals"])
+    assert all(res is not None and res < 1e-6 for res in _transfer_residuals(out, _r1()))
 
 
 def test_cli_verify_strict(tmp_path, capsys):
@@ -249,7 +259,7 @@ def test_cli_solve_r2(tmp_path, capsys):
     eigs = np.array([complex(re, im) for re, im in out["eigenvalues"]])
     for lam in eigs:
         assert abs(lam**3 + lam + 1) < 1e-8
-    assert all(res is not None and res < 1e-8 for res in out["residuals"])
+    assert all(res is not None and res < 1e-8 for res in _transfer_residuals(out, _r2()))
 
 
 def test_cli_truncated_file_is_input_error(tmp_path, capsys):
@@ -451,9 +461,11 @@ def test_indented_files_still_load(tmp_path):
     assert np.array_equal(P.X, P2.X) and np.array_equal(P.Y, P2.Y)
 
 
-def test_cli_solve_prints_null_at_a_pole(tmp_path, capsys):
-    # A = lambda - 1, B = 0: S has the zero 1, where A(1) is singular, and
-    # the zero 2 of D = lambda - 2; only the latter has a recovered vector
+def test_cli_solve_prints_the_null_vector_of_s_at_a_pole(tmp_path, capsys):
+    # A = lambda - 1, B = 0: S has the zero 1, where A(1) is singular, and the zero 2 of
+    # D = lambda - 2.  Recovery reads [F; x] from the pencil vector with no solve, so
+    # both get a vector: at 1 the x part of the null vector [1; 1] of S(1), at 2 a null
+    # vector of G(2) = D(2); only G's own residual reads the pole, as NaN
     R = Realization(A=MatrixPolynomial.from_scalars(-1, 1), B=np.array([[0.0]]),
                     C=np.array([[1.0]]), D=MatrixPolynomial.from_scalars(-2, 1))
     prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
@@ -463,11 +475,19 @@ def test_cli_solve_prints_null_at_a_pole(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     eigs = np.array([complex(re, im) for re, im in out["eigenvalues"]])
     by_eig = dict(zip(np.round(eigs.real).astype(int), zip(out["eigenvectors"],
-                                                           out["residuals"])))
+                                                           out["system_residuals"])))
     assert sorted(by_eig) == [1, 2]
-    assert by_eig[1] == (None, None)
-    vec, res = by_eig[2]
-    assert vec is not None and res < 1e-12
+    for vec, res in by_eig.values():
+        assert vec is not None and res < 1e-12
+        assert abs(abs(complex(*vec[0])) - 1.0) < 1e-15
+    x = np.array([complex(*by_eig[2][0][0])])
+    assert abs(eval_transfer(R, eigs[np.round(eigs.real) == 2][0]) @ x)[0] < 1e-12
+    P = build_C1(R)
+    pencil = solve_pencil(P.X, P.Y)
+    one = int(np.flatnonzero(np.round(pencil.eigenvalues.real) == 1)[0])
+    rec = recover_right(pencil.right[:, one], P.dims, R, pencil.eigenvalues[one])
+    assert rec.system_residual < 1e-12
+    assert math.isnan(rec.transfer_residual) and math.isnan(rec.structural_residual)
 
 
 @pytest.mark.parametrize("case, field", [

@@ -7,6 +7,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -16,11 +17,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from conftest import scaled_realization  # noqa: E402
+from oracles import largest_bottom_block_x  # noqa: E402
 
 from syspencils import (  # noqa: E402
     BlockDims,
+    DegenerateVector,
     MatrixPolynomial,
+    PoleError,
     Realization,
+    SingularSystem,
     build_C1,
     build_C2,
     build_DL,
@@ -28,6 +34,7 @@ from syspencils import (  # noqa: E402
     build_pencil_L1,
     build_pencil_L2,
     build_symmetric,
+    eval_polymat,
     eval_transfer,
     lift_left,
     lift_right,
@@ -37,6 +44,7 @@ from syspencils import (  # noqa: E402
     recover_right,
     residual_ansatz,
     sample_space,
+    solve_pencil,
     transpose_realization,
 )
 from syspencils.cli import main  # noqa: E402
@@ -157,16 +165,18 @@ def test_cli_survives_fuzzed_files(data):
     assert code in (0, 1, 2, 3), out.getvalue()
 
 
-def _realization(dims, zero, seed, kind="general"):
+def _realization(dims, zero, seed, kind="general", spread=0.0):
     """Gaussian data of block sizes ``dims``; ``zero`` names a vanishing B or C.
 
-    Symmetric and Hermitian data tie C to B, so either choice zeroes both.
+    Symmetric and Hermitian data tie C to B, so either choice zeroes both.  With a
+    ``spread`` s, each of A_j, B, C and D_j is scaled by its own 10^U(-s, s).
     """
     m, n, k, r = dims
     rng = np.random.default_rng(seed)
 
     def cg(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        scale = 10.0 ** rng.uniform(-spread, spread) if spread else 1.0
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
 
     op = {"general": None, "sym": np.transpose, "herm": lambda M: M.conj().T}[kind]
     A = [cg(n, n) for _ in range(m + 1)]
@@ -302,3 +312,70 @@ def test_lift_identities_hold_and_recovery_inverts_the_lift(dims, zero, seed, so
     assert rec.structural_residual <= 1e-10 * np.linalg.norm(u)
     Gx = xn.conj() @ G if P.space == SPACE_L2G else G @ xn
     assert abs(rec.transfer_residual - np.linalg.norm(Gx)) <= 1e-10 * np.linalg.norm(G)
+
+
+_RECOVERY_SIDES = {"c1": ("right",), "l1g": ("right",), "l1s": ("right",), "sym": ("right",),
+                   "herm": ("right",), "dl": ("right", "left"), "c2": ("left",),
+                   "l2g": ("left",)}
+_BUILDERS = {**_MEMBERS, "sym": build_symmetric, "herm": build_hermitian}
+
+
+@_FAST
+@given(dims_st, zero_st, seed_st, st.sampled_from(sorted(_RECOVERY_SIDES)), st.booleans())
+@example((1, 1, 3, 2), "B", 10, "c2", True)  # r > n, m != k
+@example((2, 1, 1, 3), "C", 11, "dl", True)
+@example((3, 2, 1, 1), None, 12, "l1s", True)
+@example((2, 2, 3, 1), None, 13, "herm", False)
+def test_recovery_reads_x_as_before_and_f_with_a_small_system_residual(
+        dims, zero, seed, space, spread):
+    # x is the largest bottom block's, bit for bit; [F; x], F read from the top
+    # partition, is a null vector of S(lambda) to backward error 1e-12 at any uniform
+    # data scale; that backward error moves by rounding alone when the data are
+    # scaled; and the transfer residual, read later, is ||G(lambda) x||.  With each
+    # matrix at its own scale 10^U(-4, 4) a pencil eigenpair need not be backward
+    # stable for S: 2-7% of such pairs read above 1e-12 per space, and F = A^{-1} B x
+    # from a solve did so about twice as often
+    m, n, k, r = dims
+    assume(space != SPACE_L1S or r <= n)  # the system-matrix identity needs r <= n
+    R = _realization(dims, zero, seed, {"sym": "sym", "herm": "herm"}.get(space, "general"),
+                     spread=4.0 if spread else 0.0)
+    P = _BUILDERS[space](R) if space in _BUILDERS else sample_space(R, seed, space)
+    try:
+        eigs = solve_pencil(P.X, P.Y)
+    except SingularSystem:  # the shift search can call a regular pencil at this spread singular
+        assume(False)
+    scaled = [scaled_realization(R, c) for c in (1e-20, 1e-7, 1e7, 1e20)]
+    rng = np.random.default_rng(seed + 4)
+    for side in _RECOVERY_SIDES[space]:
+        recover, vecs = (recover_left, eigs.left) if side == "left" else (recover_right, eigs.right)
+        for i, lam in enumerate(eigs.eigenvalues):
+            u = vecs[:, i]
+            try:
+                rec = recover(u, R.dims, R, lam)
+            except DegenerateVector:  # a null vector of S with x = 0: G has no zero here
+                continue
+            x = largest_bottom_block_x(np.conj(u) if side == "left" else u, R.dims, lam)
+            assert rec.x.tobytes() == (np.conj(x) if side == "left" else x).tobytes()
+            assert spread or rec.system_residual <= 1e-12, (side, i, lam, rec.system_residual)
+            for Rc in scaled:
+                assert abs(recover(u, R.dims, Rc, lam).system_residual - rec.system_residual) <= 1e-14
+            # the left side solves with A^T, as recovery on the transpose does
+            Rs = transpose_realization(R) if side == "left" else R
+            try:
+                G = eval_transfer(Rs, lam)
+            except PoleError:  # the pole guard's verdict, which the lazy read shares
+                assert math.isnan(rec.transfer_residual)
+                continue
+            Gx = G @ (rec.x.conj() if side == "left" else rec.x)
+            # both values carry the rounding of a solve with A(lambda)
+            A, D = eval_polymat(Rs.A, lam), eval_polymat(Rs.D, lam)
+            A_inv = np.linalg.inv(A)
+            error = (np.linalg.cond(A) * np.linalg.norm(R.C, 2) * np.linalg.norm(A_inv, 2)
+                     * np.linalg.norm(R.B, 2) + np.linalg.norm(D, 2))
+            assert abs(rec.transfer_residual - np.linalg.norm(Gx)) <= 1e-12 * error
+        # away from the spectrum the residual is O(1): the same to 1e-12 at every scale
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        u = rng.standard_normal(R.dims.size) + 1j * rng.standard_normal(R.dims.size)
+        eta = recover(u, R.dims, R, lam).system_residual
+        for Rc in scaled:
+            assert abs(recover(u, R.dims, Rc, lam).system_residual - eta) <= 1e-12 * eta

@@ -1167,13 +1167,15 @@ def test_the_structural_residual_is_no_field_and_replace_keeps_its_state():
     P = build_C1(R)
     eigs = solve_pencil(P.X, P.Y)
     rec = recover_right(eigs.right[:, 0], P.dims, R, eigs.eigenvalues[0])
-    assert [f.name for f in fields(rec)] == ["x", "transfer_residual"]
-    assert "structural_residual" not in asdict(rec) and "structural_residual" not in repr(rec)
-    moved = replace(rec, transfer_residual=0.0)
+    assert [f.name for f in fields(rec)] == ["x", "system_residual"]
+    for lazy in ("transfer_residual", "structural_residual"):
+        assert lazy not in asdict(rec) and lazy not in repr(rec)
+    moved = replace(rec, system_residual=0.0)
     assert moved.lifted_from is rec.lifted_from
     assert moved.structural_residual == rec.structural_residual <= 1e-10
-    assert math.isnan(spectra.RecoveredVector(x=rec.x, transfer_residual=0.0)
-                      .structural_residual)
+    assert moved.transfer_residual == rec.transfer_residual <= 1e-10
+    bare = spectra.RecoveredVector(x=rec.x, system_residual=0.0)
+    assert math.isnan(bare.structural_residual) and math.isnan(bare.transfer_residual)
 
 
 def test_pencil_det_matches_solver():
