@@ -370,8 +370,8 @@ def test_recovery_reads_x_as_before_and_f_with_a_small_system_residual(
             # both values carry the rounding of a solve with A(lambda)
             A, D = eval_polymat(Rs.A, lam), eval_polymat(Rs.D, lam)
             A_inv = np.linalg.inv(A)
-            error = (np.linalg.cond(A) * np.linalg.norm(R.C, 2) * np.linalg.norm(A_inv, 2)
-                     * np.linalg.norm(R.B, 2) + np.linalg.norm(D, 2))
+            error = (np.linalg.cond(A) * np.linalg.norm(Rs.C, 2) * np.linalg.norm(A_inv, 2)
+                     * np.linalg.norm(Rs.B, 2) + np.linalg.norm(D, 2))
             assert abs(rec.transfer_residual - np.linalg.norm(Gx)) <= 1e-12 * error
         # away from the spectrum the residual is O(1): the same to 1e-12 at every scale
         lam = complex(rng.standard_normal(), rng.standard_normal())
