@@ -218,6 +218,11 @@ def make_parser() -> argparse.ArgumentParser:
         description="Build, sample and verify ansatz-space pencils of "
                     "state-space system matrices and transfer functions.")
     sub = parser.add_subparsers(dest="verb", required=True)
+    files = argparse.ArgumentParser(add_help=False)  # what verify and solve read
+    files.add_argument("--pencil", required=True)
+    files.add_argument("--input", required=True)
+    files.add_argument("--basis", default="monomial",
+                       help="basis the pencil file is expressed in")
 
     p = sub.add_parser("build", help="build a pencil from a problem file")
     p.add_argument("--input", required=True)
@@ -229,22 +234,14 @@ def make_parser() -> argparse.ArgumentParser:
                    help="monomial | chebyshev | newton:<comma separated nodes>")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("verify", help="verify a pencil against a problem")
-    p.add_argument("--pencil", required=True)
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("verify", parents=[files], help="verify a pencil against a problem")
     p.add_argument("--tol", type=_positive_finite, default=None,
                    help="ansatz residual tolerance (default scale-aware)")
     p.add_argument("--tol-eig", dest="tol_eig", type=_positive_finite, default=1e-6)
     p.add_argument("--strict", action="store_true", help="halve both tolerances, defaults too")
-    p.add_argument("--basis", default="monomial",
-                   help="basis the pencil file is expressed in")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", help="eigenvalues and recovered eigenvectors")
-    p.add_argument("--pencil", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--basis", default="monomial",
-                   help="basis the pencil file is expressed in")
+    p = sub.add_parser("solve", parents=[files], help="eigenvalues and recovered eigenvectors")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sample", help="sample pencils and report the verify pass rate")

@@ -124,6 +124,9 @@ class AnsatzPencil:
             raise DimensionError(f"pencil coefficients must be {s}x{s}")
         if self.space not in SPACES:
             raise DimensionError(f"unknown space tag {self.space!r}")
+        if self.space == SPACE_L1S and self.dims.r > self.dims.n:  # the identity pads I_{r x n}
+            raise DimensionError(f"AnsatzPencil.space {self.space!r} needs r <= n, "
+                                 f"got r={self.dims.r}, n={self.dims.n}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "v", _as_vector(self.v, self.dims.m, "AnsatzPencil.v"))
@@ -175,8 +178,6 @@ def build_pencil_L1(R: Realization, v, w, W=None, W1=None, space: str = SPACE_L1
     """
     if space not in (SPACE_L1S, SPACE_L1G):
         raise DimensionError(f"space must be {SPACE_L1S!r} or {SPACE_L1G!r}, got {space!r}")
-    if space == SPACE_L1S and R.r > R.n:
-        raise DimensionError("the system-matrix ansatz identity requires r <= n")
     X, Y, v, w = _l1_parts(R, v, w, W, W1)
     return AnsatzPencil(X=X, Y=Y, dims=R.dims, space=space, v=v, w=w)
 

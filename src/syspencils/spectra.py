@@ -96,13 +96,20 @@ def system_zeros(R: Realization) -> np.ndarray:
     return _kept(R, "_zeros", _companion_zeros)
 
 
-def _companion_zeros(R: Realization) -> np.ndarray:
+def _system_rows(R: Realization) -> tuple:
+    """``([S_d ... S_0], (||S_0||_F, ..., ||S_d||_F))``, d = max(m, k): the coefficient row
+    and the coefficient norms of S(lambda), kept on R for the reference and for recovery."""
     S = build_system_matrix(R).coeffs
-    n, d = S[0].shape[0], len(S) - 1
+    return np.hstack(S[::-1]), tuple(_norm(c) for c in S)
+
+
+def _companion_zeros(R: Realization) -> np.ndarray:
+    row, norms_S = _kept(R, "_system_rows", _system_rows)  # [S_d ... S_0], as recovery reads it
+    n, d = row.shape[0], len(norms_S) - 1
     X = R.scale * np.eye(n * d, dtype=complex)
-    X[:n, :n] = S[d]
+    X[:n, :n] = row[:, :n]
     Y = np.zeros_like(X)
-    Y[:n] = np.hstack(S[d - 1::-1])
+    Y[:n] = row[:, n:]
     Y[n:, :-n] = -R.scale * np.eye(n * (d - 1))
     return solve_pencil(X, Y, left=False, right=False).eigenvalues
 
@@ -452,7 +459,10 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     stored in P, drives (i) and (ii).
     The reference zeros, sample points, their transfer and lift data and the fit rows
     depend on R alone: the first call for an R object computes and keeps them, read-only.
+    DimensionError when ``P.dims`` are not ``R.dims``.
     """
+    if P.dims != R.dims:
+        raise DimensionError(f"block dims {P.dims} do not match the realization's {R.dims}")
     tol_res = default_tol_res(P, R) if tol_res is None else tol_res
     zeros = system_zeros(R)
 
@@ -561,13 +571,6 @@ class RecoveredVector:
         L = _assemble_lift(R, lam0, self._solved[0], col)[:, 0]
         c = np.vdot(u, L) / _norm(u) ** 2
         return _norm(c * u - L)
-
-
-def _system_rows(R: Realization) -> tuple:
-    """``([S_d ... S_0], (||S_0||_F, ..., ||S_d||_F))``, d = max(m, k): the coefficient row
-    and the coefficient norms of S(lambda), kept on R by :func:`recover_right`."""
-    S = build_system_matrix(R).coeffs
-    return np.hstack(S[::-1]), tuple(_norm(c) for c in S)
 
 
 def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,

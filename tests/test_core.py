@@ -334,3 +334,27 @@ def test_transpose_realization_realizes_transpose():
     Rt = transpose_realization(R)
     for lam in (0.3 + 0.9j, -1.2, 0.5j):
         assert np.allclose(eval_transfer(Rt, lam), eval_transfer(R, lam).T, atol=1e-12)
+
+
+def test_the_package_republishes_each_modules_public_names():
+    # one list per module: the package namespace is the union of the modules'
+    # public names, each the same object, plus the submodules and __version__
+    import types
+
+    import syspencils
+    from syspencils import basis, core, errors, shiftsum, spaces, spectra
+
+    published = set()
+    for module in (basis, core, errors, shiftsum, spaces, spectra):
+        names = getattr(module, "__all__", None) or [
+            name for name in vars(module) if not name.startswith("_")]
+        for name in names:
+            assert getattr(syspencils, name) is getattr(module, name), name
+        published.update(names)
+    others = {name for name, value in vars(syspencils).items() if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)} - published
+    assert others == set()
+    assert {"solve_state", "solve_state_left", "is_symmetric_realization",
+            "is_hermitian_realization", "SPACES", "default_tol_res"} <= published
+    assert isinstance(syspencils.io, types.ModuleType) and "io" not in published
+    assert syspencils.__version__ == "0.1.0"

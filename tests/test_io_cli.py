@@ -586,6 +586,21 @@ def test_cli_l1s_space_with_r_above_n_is_input_error(tmp_path, capsys, verb, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("verb", ["verify", "solve"])
+def test_cli_l1s_pencil_file_with_r_above_n_is_input_error(tmp_path, capsys, verb):
+    # a pencil file tagged l1s on (2, 2, 2, 3) data: the pencil itself is rejected
+    # when it is read, naming its space field, by the check every pencil passes
+    prob, pen = tmp_path / "p.json", tmp_path / "l1s.json"
+    R = random_realization(np.random.default_rng(5), 2, 2, 2, 3)
+    _write_problem(prob, R)
+    pencil = pencil_to_dict(build_C1(R))
+    pencil["space"] = "l1s"
+    save_json(pen, pencil)
+    assert main([verb, "--pencil", str(pen), "--input", str(prob)]) == 2
+    assert capsys.readouterr().err == (
+        "error: AnsatzPencil.space 'l1s' needs r <= n, got r=3, n=2\n")
+
+
 def test_build_and_dim_do_not_load_scipy(tmp_path):
     prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
     _write_problem(prob, _r1())

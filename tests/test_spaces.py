@@ -612,7 +612,8 @@ def test_symmetric_pencil_satisfies_transposed_row_identity():
 def test_l1s_rejects_wide_output():
     rng = np.random.default_rng(25)
     R = random_realization(rng, 2, 1, 2, 2)  # r > n
-    with pytest.raises(DimensionError):
+    # every pencil is made by AnsatzPencil, which rejects the tag
+    with pytest.raises(DimensionError, match="AnsatzPencil.space 'l1s' needs r <= n, got r=2, n=1"):
         build_pencil_L1(R, cgauss(rng, 2), cgauss(rng, 2), space=SPACE_L1S)
     # the transfer-function space has no such restriction
     build_pencil_L1(R, cgauss(rng, 2), cgauss(rng, 2),

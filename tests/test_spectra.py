@@ -1042,6 +1042,18 @@ def test_a_size_mismatch_in_recovery_is_a_dimension_error(call):
         getattr(spectra, call)(*args)
 
 
+def test_verify_rejects_a_pencil_whose_dims_are_not_the_realizations():
+    # a C1 of (2, 2, 2, 1) data relabeled (1, 4, 2, 1) has the same side, 6, so
+    # membership and the eigenvalues would pass it with a wrong Z-rank certificate
+    R = random_realization(np.random.default_rng(42), 2, 2, 2, 1)
+    P = build_C1(R)
+    assert verify_linearization(P, R).full_z_rank == (True, True)
+    relabeled = AnsatzPencil(X=P.X, Y=P.Y, dims=BlockDims(1, 4, 2, 1), space=P.space,
+                             v=[1.0], w=P.w)
+    with pytest.raises(DimensionError, match="do not match"):
+        verify_linearization(relabeled, R)
+
+
 @pytest.mark.parametrize("bad", [("X", 0, 1, np.nan), ("Y", 1, 0, np.inf),
                                  ("Y", 0, 0, complex(0.0, -np.inf))],
                          ids=["X-nan", "Y-inf", "Y-complex-inf"])
