@@ -108,12 +108,13 @@ class MatrixPolynomial:
         if len(self.coeffs) == 0:
             raise DimensionError("a matrix polynomial needs at least one coefficient")
         frozen = tuple(_freeze(c) for c in self.coeffs)
-        rows, cols = frozen[0].shape if frozen[0].ndim == 2 else (None, None)
         for c in frozen:
-            if c.ndim != 2 or c.shape != (rows, cols):
+            if c.ndim != 2:
+                raise DimensionError(f"coefficients must be 2-D, got shape {c.shape}")
+            if c.shape != frozen[0].shape:
                 raise DimensionError(
-                    f"coefficient shapes disagree: expected {(rows, cols)}, got {c.shape}"
-                )
+                    f"coefficient shapes disagree: expected {frozen[0].shape}, got {c.shape}")
+        rows, cols = frozen[0].shape
         object.__setattr__(self, "coeffs", frozen)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)

@@ -79,6 +79,12 @@ SPACES = frozenset({SPACE_L1S, SPACE_L1G, SPACE_L2G, SPACE_DL, SPACE_SYM, SPACE_
 MEMBERSHIP_RTOL = 1e-8
 
 
+def _check_tag(space) -> None:
+    """DimensionError unless ``space`` is one of the string tags of ``SPACES``."""
+    if not isinstance(space, str) or space not in SPACES:  # a list is unhashable
+        raise DimensionError(f"unknown space tag {space!r}")
+
+
 def _as_vector(v, length: int, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape != (length,):
@@ -122,8 +128,7 @@ class AnsatzPencil:
         s = self.dims.size
         if X.shape != (s, s) or Y.shape != (s, s):
             raise DimensionError(f"pencil coefficients must be {s}x{s}")
-        if self.space not in SPACES:
-            raise DimensionError(f"unknown space tag {self.space!r}")
+        _check_tag(self.space)
         if self.space == SPACE_L1S and self.dims.r > self.dims.n:  # the identity pads I_{r x n}
             raise DimensionError(f"AnsatzPencil.space {self.space!r} needs r <= n, "
                                  f"got r={self.dims.r}, n={self.dims.n}")
@@ -316,8 +321,7 @@ def membership(X, Y, R: Realization, space: str = SPACE_L1G) -> tuple[np.ndarray
     (conjugated), of the unsigned transpose (A^T, C^T, B^T, D^T), which is R for symmetric
     and conj(R) for Hermitian data; the second half's transpose negates B and C.
     """
-    if space not in SPACES:
-        raise DimensionError(f"unknown space tag {space!r}")
+    _check_tag(space)
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     if space == SPACE_L2G:

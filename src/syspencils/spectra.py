@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -313,18 +313,12 @@ class ZRankCertificate:
 
 
 def _unit_mapping(v: np.ndarray) -> np.ndarray:
-    """Nonsingular M with M v = e_1: the Householder reflector ``I - 2 u u* / u* u`` with
-    ``u = v + a ||v|| e_1`` and ``a = e^{i arg v_0}`` (1 if v_0 = 0) sends v to
-    ``-a ||v|| e_1``, and row 0 is divided by ``-a ||v||``; u is nonzero when v is."""
-    norm = _norm(v)
-    if norm == 0.0:
+    """Nonsingular M with M v = e_1: Q* of the full QR ``v = Q (r e_1)``, row 0 over r."""
+    if not v.any():
         raise ZeroAnsatz("ansatz vector is zero")
-    a = v[0] / abs(v[0]) if v[0] else 1.0
-    u = np.concatenate(([v[0] + a * norm], v[1:]))
-    u /= _norm(u)
-    M = u[:, None] * (-2.0 * u.conj())
-    M.flat[::v.size + 1] += 1.0
-    M[0] /= -a * norm
+    Q, r = np.linalg.qr(v[:, None], mode="complete")
+    M = Q.conj().T
+    M[0] /= r[0, 0]
     return M
 
 
@@ -342,9 +336,9 @@ def _z_block_rank(Ytl: np.ndarray, v: np.ndarray, blk: int):
 def z_rank(P: AnsatzPencil, R: Realization) -> ZRankCertificate:
     """Z-rank certificate of both diagonal parts of a space member.
 
-    A nonsingular M with ``M v = e_1`` reduces the top partition to the
-    canonical form whose lower-left constant block is the free block Z;
-    the rank of Z does not depend on the choice of M.  The rank threshold
+    A nonsingular M with ``M v = e_1`` (the QR map of :func:`_unit_mapping`) reduces the
+    top partition to the canonical form whose lower-left constant block is the free
+    block Z; the rank of Z does not depend on the choice of M.  The rank threshold
     is 1e-10 relative to the larger of ``sigma_max(Z)`` and the largest
     entry of the reduced Y partition, so a Z that vanishes in exact
     arithmetic ranks 0 rather than by its rounding noise.  Second-space
@@ -456,7 +450,8 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
     ``tol_eig`` under the scale-aware greedy matching.  The verdict is pass
     exactly when (i) and (iii) hold.  First, :func:`membership` tests the pencil
     against its space; the ansatz pair it reads back from X and Y, not the one
-    stored in P, drives (i) and (ii).
+    stored in P, drives (i) and (ii): one fitted member, P with that pair and its own
+    copy of Y, serves both.
     The reference zeros, sample points, their transfer and lift data and the fit rows
     depend on R alone: the first call for an R object computes and keeps them, read-only.
     DimensionError when ``P.dims`` are not ``R.dims``.
@@ -465,47 +460,35 @@ def verify_linearization(P: AnsatzPencil, R: Realization,
         raise DimensionError(f"block dims {P.dims} do not match the realization's {R.dims}")
     tol_res = default_tol_res(P, R) if tol_res is None else tol_res
     zeros = system_zeros(R)
-
-    def fail(reason, pencil_eigs=None, **kw):
-        if pencil_eigs is None:
-            pencil_eigs = np.array([], dtype=complex)
-        return SpectralReport(pencil_eigs=pencil_eigs, oracle_roots=zeros,
-                              verdict="fail", reason=reason, **kw)
-
     try:
         v, w = membership(P.X, P.Y, R, P.space)
     except NotAMember as exc:
-        return fail(f"membership: {exc}")
-    # X and Y carry the pair; P checked them when it was made, and a member's pair is finite
-    P, Q = object.__new__(AnsatzPencil), P
-    vars(P).update(vars(Q), v=v, w=w)
-    member = object.__new__(AnsatzPencil)  # z_rank reads Y and the (new) fitted pair alone
-    vars(member).update(vars(P), X=None, Y=np.copy(P.Y))
-
-    res = residual_ansatz(P, R, _kept(R, "_samples", lambda R: nonpole_samples(R, 10)))
-
+        return SpectralReport(pencil_eigs=np.array([], dtype=complex), oracle_roots=zeros,
+                              reason=f"membership: {exc}")
+    # P checked X and Y when it was made, and a member's pair is finite: the constructor's
+    # checks would add about 5% to a small verify.  z_rank reads Y, the pair, dims and space
+    member = object.__new__(AnsatzPencil)
+    vars(member).update(vars(P), Y=np.copy(P.Y), v=v, w=w)
+    res = residual_ansatz(member, R, _kept(R, "_samples", lambda R: nonpole_samples(R, 10)))
+    report = partial(SpectralReport, oracle_roots=zeros, ansatz_residual=res,
+                     certificate_of=(member, R))
     try:
         eigs = solve_pencil(P.X, P.Y, left=False)
     except SingularSystem:
-        return fail("pencil is singular (det vanishes identically)",
-                    ansatz_residual=res, certificate_of=(member, R))
+        return report(pencil_eigs=np.array([], dtype=complex),
+                      reason="pencil is singular (det vanishes identically)")
     if eigs.eigenvalues.size != zeros.size:
-        return fail(
+        return report(pencil_eigs=eigs.eigenvalues, reason=(
             f"eigenvalue count mismatch: pencil has {eigs.eigenvalues.size} finite, "
-            f"oracle has {zeros.size}",
-            pencil_eigs=eigs.eigenvalues, ansatz_residual=res, certificate_of=(member, R))
-
+            f"oracle has {zeros.size}"))
     pairs, worst = match_multisets(eigs.eigenvalues, zeros)
-
     ok = res <= tol_res and worst <= tol_eig
     reason = "" if ok else (
         f"ansatz residual {res:.2e} > {tol_res:.2e}" if res > tol_res
         else f"eigenvalue mismatch {worst:.2e} > {tol_eig:.2e}")
-    return SpectralReport(
-        pencil_eigs=eigs.eigenvalues, oracle_roots=zeros, matching=pairs,
-        max_eig_error=worst, eig_residuals=eigs.backward_errors.tolist(),
-        verdict="pass" if ok else "fail", reason=reason,
-        ansatz_residual=res, certificate_of=(member, R))
+    return report(pencil_eigs=eigs.eigenvalues, matching=pairs, max_eig_error=worst,
+                  eig_residuals=eigs.backward_errors.tolist(),
+                  verdict="pass" if ok else "fail", reason=reason)
 
 
 def lift_right(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:

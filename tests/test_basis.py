@@ -177,3 +177,15 @@ def test_tilde_rejects_wrong_degree():
     with pytest.raises(DimensionError):
         build_L1_tilde(R, BasisSpec(kind="monomial", d=3),
                        BasisSpec(kind="monomial", d=2), cgauss(rng, 2), cgauss(rng, 2))
+
+
+@pytest.mark.parametrize("spec, message", [
+    (dict(kind="legendre", d=2), r"unknown basis kind 'legendre'"),
+    (dict(kind="monomial", d=0), r"basis needs d >= 1"),
+    (dict(kind="chebyshev_T", d=-1), r"basis needs d >= 1"),
+    (dict(kind="custom", d=2, rows=np.eye(3)), r"custom basis rows must be 2x2"),
+    (dict(kind="custom", d=2, rows=np.ones(2)), r"custom basis rows must be 2x2"),
+], ids=["kind", "d-zero", "d-negative", "rows-3x3", "rows-1-D"])
+def test_basis_spec_input_checks(spec, message):
+    with pytest.raises(DimensionError, match=message):
+        BasisSpec(**spec)

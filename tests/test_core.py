@@ -358,3 +358,32 @@ def test_the_package_republishes_each_modules_public_names():
             "is_hermitian_realization", "SPACES", "default_tol_res"} <= published
     assert isinstance(syspencils.io, types.ModuleType) and "io" not in published
     assert syspencils.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((), "at least one coefficient"),
+    ((np.eye(2), np.ones((2, 3))), r"coefficient shapes disagree: expected \(2, 2\), got \(2, 3\)"),
+    ((np.ones(2),), r"coefficients must be 2-D, got shape \(2,\)"),
+    ((np.eye(2), np.ones(2)), r"coefficients must be 2-D, got shape \(2,\)"),
+], ids=["none", "shapes-disagree", "1-D", "1-D-after-2-D"])
+def test_matrix_polynomial_input_checks(coeffs, message):
+    with pytest.raises(DimensionError, match=message):
+        MatrixPolynomial(coeffs)
+
+
+def test_lambda_vector_needs_a_positive_length():
+    with pytest.raises(DimensionError, match=r"lambda_vector needs d >= 1"):
+        lambda_vector(0, 0.5)
+
+
+@pytest.mark.parametrize("field, change", [
+    ("A", dict(A=MatrixPolynomial((np.ones((2, 3)), np.ones((2, 3)))))),
+    ("D", dict(D=MatrixPolynomial((np.ones((1, 2)), np.ones((1, 2)))))),
+    ("C", dict(C=np.ones((2, 1)))),
+], ids=["A-not-square", "D-not-square", "C-shape"])
+def test_realization_input_checks(field, change):
+    # n = r = 1 apart from the changed field; each message names that field first
+    parts = dict(A=MatrixPolynomial.from_scalars(-2, 1), B=np.ones((1, 1)),
+                 C=np.ones((1, 1)), D=MatrixPolynomial.from_scalars(0, 1))
+    with pytest.raises(DimensionError, match=rf"^{field}(\(lambda\))? must be "):
+        Realization(**{**parts, **change})

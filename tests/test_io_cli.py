@@ -1013,3 +1013,71 @@ def test_cli_build_frees_the_realization_before_writing(tmp_path, monkeypatch, s
     assert main(["build", "--input", str(prob), "--output", str(pen), "--source", source]) == 0
     assert alive == [False]
     assert np.array_equal(load_pencil(pen).X, cli._BUILDERS[source](load_problem(prob)[0]).X)
+
+
+@pytest.mark.parametrize("source", ["c1", "c2", "dl"])
+def test_cli_solve_prints_null_where_the_null_vector_of_s_has_no_x(tmp_path, capsys, source):
+    # B = C = 0, A = lambda - 2, D = lambda - 3: the zero 2 of S has the null vector
+    # [1; 0], whose x part is zero, so recovery has no vector to print there (null);
+    # the zero 3 of D has x = 1.  Either side of recovery, and solve exits 0
+    R = Realization(A=MatrixPolynomial.from_scalars(-2, 1), B=np.zeros((1, 1)),
+                    C=np.zeros((1, 1)), D=MatrixPolynomial.from_scalars(-3, 1))
+    prob, pen = tmp_path / "p.json", tmp_path / f"{source}.json"
+    _write_problem(prob, R)
+    assert main(["build", "--input", str(prob), "--output", str(pen), "--source", source]) == 0
+    assert main(["solve", "--pencil", str(pen), "--input", str(prob)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    eigs = [complex(re, im) for re, im in out["eigenvalues"]]
+    assert max(abs(lam - round(lam.real)) for lam in eigs) < 1e-12
+    by_eig = {round(lam.real): (vec, res) for lam, vec, res in
+              zip(eigs, out["eigenvectors"], out["system_residuals"])}
+    assert sorted(by_eig) == [2, 3]
+    assert by_eig[2] == (None, None)
+    vec, res = by_eig[3]
+    assert abs(abs(complex(*vec[0])) - 1.0) < 1e-15 and res < 1e-12
+
+
+def test_cli_verify_exits_1_on_an_eigenvalue_mismatch_at_a_valid_tol_eig(tmp_path, capsys):
+    R = random_realization(np.random.default_rng(0), 2, 2, 2, 1)
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, R)
+    save_pencil(pen, build_C1(R))
+    files = ["--pencil", str(pen), "--input", str(prob)]
+    assert main(["verify", *files]) == 0
+    worst = json.loads(capsys.readouterr().out)["max_eig_error"]
+    assert worst > 0.0
+    tol = worst / 2
+    assert main(["verify", *files, "--tol-eig", repr(tol)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_eig_error"] == worst
+    assert report["reason"] == f"eigenvalue mismatch {worst:.2e} > {tol:.2e}"
+
+
+@pytest.mark.parametrize("case, verbs, message", [
+    ("pencil-dims", ("verify", "solve"), "pencil dims BlockDims(m=1, n=1, k=1, r=1) do not "
+                                         "match problem dims BlockDims(m=3, n=2, k=2, r=1)"),
+    ("newton-nodes", ("build", "verify", "solve"),
+     "newton basis needs at least 2 nodes for degree 3"),
+    ("basis-token", ("build", "verify", "solve"), "unknown basis 'legendre'"),
+    ("empty-A", ("build", "verify", "solve"),
+     "realization.A: matrix polynomial must be a non-empty array of matrices"),
+    ("dims-m", ("verify", "solve"), "dims.m must be an integer"),
+])
+def test_cli_input_checks(tmp_path, capsys, case, verbs, message):
+    R = random_realization(np.random.default_rng(8), 3, 2, 2, 1)
+    problem, pencil = problem_to_dict(R), pencil_to_dict(build_C1(R))
+    basis = {"newton-nodes": "newton:1", "basis-token": "legendre"}.get(case, "monomial")
+    if case == "pencil-dims":
+        pencil = pencil_to_dict(build_C1(_r1()))
+    elif case == "empty-A":
+        problem["realization"]["A"] = []
+    elif case == "dims-m":
+        pencil["dims"]["m"] = 1.5
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    save_json(prob, problem)
+    save_json(pen, pencil)
+    for verb in verbs:
+        files = (["--input", str(prob), "--output", str(tmp_path / "x.json")] if verb == "build"
+                 else ["--pencil", str(pen), "--input", str(prob)])
+        assert main([verb, *files, "--basis", basis]) == 2, verb
+        assert f"error: {message}" in capsys.readouterr().err, verb

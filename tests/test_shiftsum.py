@@ -82,3 +82,12 @@ def test_block_shift_sum_is_the_column_shift_sum_of_each_partition(m, n, k, r):
     got = block_shift_sum(X, Y, dims)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [((5, 5), (6, 6)), ((6, 6), (6, 5)), ((6, 5), (6, 5))],
+                         ids=["X-side", "Y-side", "not-square"])
+def test_block_shift_sum_rejects_operands_of_the_wrong_shape(shapes):
+    dims = BlockDims(2, 2, 1, 2)  # side 6
+    X, Y = (np.ones(shape) for shape in shapes)
+    with pytest.raises(DimensionError, match=r"expected 6x6 operands for dims"):
+        block_shift_sum(X, Y, dims)

@@ -17,6 +17,7 @@ from syspencils import (
     SPACE_L1G,
     SPACE_L1S,
     SPACE_L2G,
+    AnsatzPencil,
     BlockDims,
     DegenerateFit,
     DimensionError,
@@ -742,3 +743,64 @@ def test_sampling_a_one_dimensional_space_scales_the_built_pencil(space, monkeyp
         built_fresh = _BUILDERS[space](same_data(R))
         for a, b in zip(_arrays(P), _arrays(built_fresh)):
             assert a.tobytes() == (alpha * b).tobytes()
+
+
+def _wide():
+    """(2, 1, 2, 2) data, r > n: W is 2 x 1, W1 4 x 2 and the pencil side 6."""
+    return random_realization(np.random.default_rng(40), 2, 1, 2, 2)
+
+
+def _pencil(R, **change):
+    return AnsatzPencil(**{**dict(X=np.eye(6), Y=np.eye(6), dims=R.dims, space=SPACE_L1G,
+                                  v=np.ones(2), w=np.ones(2)), **change})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda R: build_pencil_L1(R, np.ones(3), np.ones(2)), r"^v must have length 2"),
+    (lambda R: build_pencil_L1(R, np.ones(2), np.ones(1)), r"^w must have length 2"),
+    (lambda R: build_pencil_L1(R, np.ones(2), np.ones(2), W=np.ones((3, 3))), r"^W must be 2x1"),
+    (lambda R: build_pencil_L1(R, np.ones(2), np.ones(2), W1=np.ones((4, 1))),
+     r"^W1 must be 4x2"),
+    (lambda R: build_pencil_L1(R, np.ones(2), np.ones(2), space=SPACE_L2G), r"^space must be"),
+    (lambda R: _pencil(R, X=np.eye(5)), r"^pencil coefficients must be 6x6"),
+    (lambda R: _pencil(R, Y=np.eye(7)), r"^pencil coefficients must be 6x6"),
+    (lambda R: _pencil(R, space="l3g"), r"^unknown space tag 'l3g'"),
+    (lambda R: membership(np.eye(6), np.eye(6), R, "l3g"), r"^unknown space tag 'l3g'"),
+    (lambda R: membership(np.eye(6), np.eye(6), R, SPACE_L1S), r"requires r <= n"),
+    (lambda R: membership(np.eye(5), np.eye(5), R, SPACE_L1G), r"^pencil side must be 6"),
+    (lambda R: membership(np.eye(5), np.eye(5), R, SPACE_L2G), r"^pencil side must be 6"),
+    (lambda R: sample_space(R, 0, "l3g"), r"^unknown space tag 'l3g'"),
+], ids=["L1-v-length", "L1-w-length", "L1-W-shape", "L1-W1-shape", "L1-space", "pencil-X-side",
+        "pencil-Y-side", "pencil-tag", "membership-tag", "membership-l1s-r-above-n",
+        "membership-side", "membership-l2g-side", "sample-tag"])
+def test_space_input_checks(call, message):
+    with pytest.raises(DimensionError, match=message):
+        call(_wide())
+
+
+@pytest.mark.parametrize("tag", [["l1g"], {"space": "l1g"}], ids=["list", "dict"])
+def test_a_space_tag_that_is_not_a_string_is_a_dimension_error(tag):
+    # neither is hashable: the tag is checked as a string before SPACES is searched
+    R = _wide()
+    P = build_C1(R)
+    for call in (lambda: _pencil(R, space=tag), lambda: membership(P.X, P.Y, R, tag),
+                 lambda: sample_space(R, 0, tag)):
+        with pytest.raises(DimensionError, match=r"^unknown space tag"):
+            call()
+
+
+@pytest.mark.parametrize("kind", ["sym", "herm"])
+def test_structured_members_are_not_second_space_members(kind):
+    # the sym and herm members are first-space members whose X and Y are (conjugate)
+    # symmetric; the second space transposes against the sign-normalized transpose
+    # (A^T, -C^T, -B^T, D^T), so they are neither l2g nor dl members of R
+    rng = np.random.default_rng(41)
+    make, build = ((random_symmetric_realization, build_symmetric) if kind == "sym"
+                   else (random_hermitian_realization, build_hermitian))
+    R = make(rng, 2, 2, 2, 1)
+    P = build(R)
+    membership(P.X, P.Y, R, kind)
+    membership(P.X, P.Y, R, SPACE_L1G)
+    for space in (SPACE_L2G, SPACE_DL):
+        with pytest.raises(NotAMember, match="shifted-sum residual"):
+            membership(P.X, P.Y, R, space)

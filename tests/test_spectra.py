@@ -38,6 +38,7 @@ from syspencils import (
     build_pencil_L1,
     build_symmetric,
     build_system_matrix,
+    default_tol_res,
     eval_polymat,
     eval_transfer,
     f_map,
@@ -1312,3 +1313,33 @@ def test_a_singular_reference_raises_on_every_call():
             system_zeros(R)
         with pytest.raises(SingularSystem):
             verify_linearization(build_C1(R), R)
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((2, 3), (2, 3)), ((2, 2, 2), (2, 2, 2))],
+                         ids=["unequal", "not-square", "3-D"])
+def test_solve_pencil_rejects_coefficients_of_the_wrong_shape(shapes):
+    X, Y = (np.ones(shape) for shape in shapes)
+    with pytest.raises(DimensionError, match=r"^pencil coefficients must be square and of equal"):
+        solve_pencil(X, Y)
+
+
+@pytest.mark.parametrize("shape", [(5,), (7,), (2, 4)])
+@pytest.mark.parametrize("recover", [recover_right, recover_left])
+def test_recovery_rejects_a_vector_of_the_wrong_size(recover, shape):
+    R = random_realization(np.random.default_rng(43), 2, 2, 1, 2)  # side 6
+    with pytest.raises(DimensionError, match=r"^vector length must be 6$"):
+        recover(np.ones(shape), R.dims, R, 0.3 + 0.2j)
+
+
+def test_verify_fails_on_an_eigenvalue_mismatch_below_the_achieved_error():
+    # a member whose residual passes, judged at half the eigenvalue error it achieves:
+    # the report is the passing one with the verdict and reason of a mismatch
+    R = random_realization(np.random.default_rng(0), 2, 2, 2, 1)
+    P = build_C1(R)
+    report = verify_linearization(P, R)
+    assert report.passed and report.max_eig_error > 0.0
+    assert report.ansatz_residual <= default_tol_res(P, R)
+    tol = report.max_eig_error / 2
+    failed = verify_linearization(P, R, tol_eig=tol)
+    assert failed.reason == f"eigenvalue mismatch {report.max_eig_error:.2e} > {tol:.2e}"
+    assert failed.to_dict() == {**report.to_dict(), "verdict": "fail", "reason": failed.reason}
