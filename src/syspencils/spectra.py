@@ -23,7 +23,6 @@ import numpy as np
 from .core import (
     BlockDims,
     Realization,
-    _assemble_lift,
     _kept,
     _lift,
     _solve_lift,
@@ -39,7 +38,6 @@ from .errors import (
     DimensionError,
     InterpolationError,
     NotAMember,
-    PoleError,
     SingularSystem,
     SolverFailure,
     ZeroAnsatz,
@@ -512,48 +510,13 @@ class RecoveredVector:
     ``x`` is unit norm, read from the largest bottom block (:func:`recover_right`), and
     ``system_residual`` is the backward error of ``z = [F; x]`` as a null vector of
     S(lam0), with F read from the top partition of the pencil vector (no solve).
-
-    ``transfer_residual`` (``||G(lam0) x||`` for a right vector, ``||x* G(lam0)||`` for a
-    left one) and ``structural_residual`` (the distance ``||c u - L||`` of the pencil
-    vector u to the lift L of x at the best scale c) are computed at their first read
-    and kept.  Both come from one guarded solve ``F = A(lam0)^{-1} B x``, made at the
-    first read of either; they are NaN where the pole guard calls lam0 a pole, and when
-    ``lifted_from`` is None.  ``lifted_from`` is what they read, ``(u, lam0, x, R)`` of
-    the right-side recovery (on the transpose realization for a left vector): the
-    recovery's own copies of u and of x as a column.
+    ``||G(lam0) x||`` comes from :func:`core.eval_transfer` (PoleError at a pole), and the
+    lift of x, whose distance to the pencil vector is the structural residual, from
+    :func:`lift_right` or :func:`lift_left`.
     """
 
     x: np.ndarray
     system_residual: float
-    lifted_from: InitVar[tuple | None] = None
-
-    def __post_init__(self, lifted_from):
-        # kept under its own name, so dataclasses.replace carries it over
-        object.__setattr__(self, "lifted_from", lifted_from)
-
-    @cached_property
-    def _solved(self):
-        """``(F, G(lam0) x)`` of :func:`core._solve_lift`, or None at a pole or without state."""
-        if self.lifted_from is None:
-            return None
-        _, lam0, col, R = self.lifted_from
-        try:
-            return _solve_lift(R, lam0, col)
-        except PoleError:
-            return None
-
-    @cached_property
-    def transfer_residual(self) -> float:
-        return math.nan if self._solved is None else _norm(self._solved[1][:, 0])
-
-    @cached_property
-    def structural_residual(self) -> float:
-        if self._solved is None:
-            return math.nan
-        u, lam0, col, R = self.lifted_from
-        L = _assemble_lift(R, lam0, self._solved[0], col)[:, 0]
-        c = np.vdot(u, L) / _norm(u) ** 2
-        return _norm(c * u - L)
 
 
 def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
@@ -570,13 +533,12 @@ def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
     ``||S(lam0) z|| / ((sum_j |lam0|^j ||S_j||_F) ||z||)`` of ``z = [F; x]`` over the m
     candidates (Tisseur, LAA 309, 2000).  It takes one product of the coefficient row
     ``[S_d ... S_0]`` with the power stacks of the z, so it forms no A(lam0), and it is
-    unchanged when the data are scaled by any c > 0.  No solve with A(lam0) runs: the
-    transfer and structural residuals are computed when read (:class:`RecoveredVector`).
+    unchanged when the data are scaled by any c > 0.  No solve with A(lam0) runs.
     DimensionError when ``dims`` are not ``R.dims`` or u does not have their size.
     """
     if dims != R.dims:
         raise DimensionError(f"block dims {dims} do not match the realization's {R.dims}")
-    u = np.array(u, dtype=complex).reshape(-1)  # a copy: the structural residual reads it
+    u = np.asarray(u, dtype=complex).reshape(-1)
     if u.shape != (dims.size,):
         raise DimensionError(f"vector length must be {dims.size}")
     norm_u = _norm(u)
@@ -607,8 +569,7 @@ def recover_right(u: np.ndarray, dims: BlockDims, R: Realization,
     both = _column_norms(np.concatenate([SZ, Z], axis=1),
                          max(weight, 1.0) * (norm_u * max(map(abs, scales)) + 1.0))
     eta = both[:dims.m] / np.maximum(weight * both[dims.m:], 1e-300)
-    return RecoveredVector(x=x, system_residual=float(eta.min()),
-                           lifted_from=(u, lam0, x.reshape(-1, 1).copy(), R))
+    return RecoveredVector(x=x, system_residual=float(eta.min()))
 
 
 def recover_left(u: np.ndarray, dims: BlockDims, R: Realization,
@@ -616,10 +577,9 @@ def recover_left(u: np.ndarray, dims: BlockDims, R: Realization,
     """Left analogue of :func:`recover_right`: a left pencil eigenvector u of a second-space
     member lifts ``y`` with ``y* G(lam0) = 0``, so ``conj(u)`` lifts ``conj(y)`` on
     :func:`transpose_realization`.  ``x`` is y, and ``system_residual`` that of the
-    left null vector of S(lam0); the transfer residual ``||y* G(lam0)||`` and the
-    structural residual, read later, are those of ``conj(u)`` on the transpose."""
+    left null vector of S(lam0)."""
     rec = recover_right(np.conj(u), dims, transpose_realization(R), lam0)
-    return RecoveredVector(rec.x.conj(), rec.system_residual, rec.lifted_from)
+    return RecoveredVector(rec.x.conj(), rec.system_residual)
 
 
 def f_map(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:

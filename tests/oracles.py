@@ -8,9 +8,9 @@ reference pencil eigenvalues come from scipy's QZ, never from the
 package's shift-and-invert path.  The per-point loops below are the
 references of the stacked sampler and l1s residual, and the row-by-row
 greedy loop that of the matching.  The eager structural residual is the
-formula recovery evaluated before the residual was computed on read, the
-largest-bottom-block rule the x that recovery has always returned, and the
-copy-first Horner loop the former body of ``eval_polymat``.
+distance of a pencil vector to the lift of its recovered x, which recovery
+does not compute, the largest-bottom-block rule the x that recovery has always
+returned, and the copy-first Horner loop the former body of ``eval_polymat``.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from syspencils import (
     Realization,
     block_shift_sum,
     eval_polymat,
+    lift_left,
     lift_right,
 )
 from syspencils.spectra import _norm
@@ -172,12 +173,11 @@ def greedy_match(a, b):
     return pairs, max((d for _, _, d in pairs), default=0.0)
 
 
-def eager_structural_residual(u, R: Realization, lam0, x) -> float:
-    """``||c u - L||`` with L the lift of x at lam0 and ``c = u* L / ||u||^2``, evaluated
-    as right-side recovery did when it returned: a left vector u recovering y passes
-    ``conj(u)``, the transpose realization and ``conj(y)``."""
+def eager_structural_residual(u, R: Realization, lam0, x, left: bool = False) -> float:
+    """``||c u - L||`` with L the lift of x at lam0 (the left lift when ``left``) and
+    ``c = u* L / ||u||^2``."""
     u = np.asarray(u, dtype=complex).reshape(-1)
-    L = lift_right(R, x, lam0)
+    L = (lift_left if left else lift_right)(R, x, lam0)
     c = np.vdot(u, L) / _norm(u) ** 2
     return _norm(c * u - L)
 

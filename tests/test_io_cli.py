@@ -1,6 +1,5 @@
 import gc
 import json
-import math
 import os
 import subprocess
 import sys
@@ -20,6 +19,7 @@ from syspencils import (
     AnsatzPencil,
     BasisSpec,
     MatrixPolynomial,
+    PoleError,
     Realization,
     build_C1,
     build_C2,
@@ -465,7 +465,7 @@ def test_cli_solve_prints_the_null_vector_of_s_at_a_pole(tmp_path, capsys):
     # A = lambda - 1, B = 0: S has the zero 1, where A(1) is singular, and the zero 2 of
     # D = lambda - 2.  Recovery reads [F; x] from the pencil vector with no solve, so
     # both get a vector: at 1 the x part of the null vector [1; 1] of S(1), at 2 a null
-    # vector of G(2) = D(2); only G's own residual reads the pole, as NaN
+    # vector of G(2) = D(2); only G itself cannot be evaluated at the pole
     R = Realization(A=MatrixPolynomial.from_scalars(-1, 1), B=np.array([[0.0]]),
                     C=np.array([[1.0]]), D=MatrixPolynomial.from_scalars(-2, 1))
     prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
@@ -487,7 +487,8 @@ def test_cli_solve_prints_the_null_vector_of_s_at_a_pole(tmp_path, capsys):
     one = int(np.flatnonzero(np.round(pencil.eigenvalues.real) == 1)[0])
     rec = recover_right(pencil.right[:, one], P.dims, R, pencil.eigenvalues[one])
     assert rec.system_residual < 1e-12
-    assert math.isnan(rec.transfer_residual) and math.isnan(rec.structural_residual)
+    with pytest.raises(PoleError):
+        eval_transfer(R, pencil.eigenvalues[one])
 
 
 @pytest.mark.parametrize("case, field", [

@@ -7,7 +7,6 @@ import contextlib
 import copy
 import io
 import json
-import math
 import os
 import tempfile
 
@@ -18,13 +17,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from conftest import scaled_realization  # noqa: E402
-from oracles import largest_bottom_block_x  # noqa: E402
+from oracles import eager_structural_residual, largest_bottom_block_x  # noqa: E402
 
 from syspencils import (  # noqa: E402
     BlockDims,
     DegenerateVector,
     MatrixPolynomial,
-    PoleError,
     Realization,
     SingularSystem,
     build_C1,
@@ -34,7 +32,6 @@ from syspencils import (  # noqa: E402
     build_pencil_L1,
     build_pencil_L2,
     build_symmetric,
-    eval_polymat,
     eval_transfer,
     lift_left,
     lift_right,
@@ -309,9 +306,8 @@ def test_lift_identities_hold_and_recovery_inverts_the_lift(dims, zero, seed, so
     xn = x / np.linalg.norm(x)
     phase = np.vdot(rec.x, xn)
     assert np.linalg.norm(rec.x * phase / abs(phase) - xn) <= 1e-10
-    assert rec.structural_residual <= 1e-10 * np.linalg.norm(u)
-    Gx = xn.conj() @ G if P.space == SPACE_L2G else G @ xn
-    assert abs(rec.transfer_residual - np.linalg.norm(Gx)) <= 1e-10 * np.linalg.norm(G)
+    structural = eager_structural_residual(u, R, lam, rec.x, left=P.space == SPACE_L2G)
+    assert structural <= 1e-10 * np.linalg.norm(u)
 
 
 _RECOVERY_SIDES = {"c1": ("right",), "l1g": ("right",), "l1s": ("right",), "sym": ("right",),
@@ -331,10 +327,9 @@ def test_recovery_reads_x_as_before_and_f_with_a_small_system_residual(
     # x is the largest bottom block's, bit for bit; [F; x], F read from the top
     # partition, is a null vector of S(lambda) to backward error 1e-12 at any uniform
     # data scale; that backward error moves by rounding alone when the data are
-    # scaled; and the transfer residual, read later, is ||G(lambda) x||.  With each
-    # matrix at its own scale 10^U(-4, 4) a pencil eigenpair need not be backward
-    # stable for S: 2-7% of such pairs read above 1e-12 per space, and F = A^{-1} B x
-    # from a solve did so about twice as often
+    # scaled.  With each matrix at its own scale 10^U(-4, 4) a pencil eigenpair need
+    # not be backward stable for S: 2-7% of such pairs read above 1e-12 per space, and
+    # F = A^{-1} B x from a solve did so about twice as often
     m, n, k, r = dims
     assume(space != SPACE_L1S or r <= n)  # the system-matrix identity needs r <= n
     R = _realization(dims, zero, seed, {"sym": "sym", "herm": "herm"}.get(space, "general"),
@@ -359,20 +354,6 @@ def test_recovery_reads_x_as_before_and_f_with_a_small_system_residual(
             assert spread or rec.system_residual <= 1e-12, (side, i, lam, rec.system_residual)
             for Rc in scaled:
                 assert abs(recover(u, R.dims, Rc, lam).system_residual - rec.system_residual) <= 1e-14
-            # the left side solves with A^T, as recovery on the transpose does
-            Rs = transpose_realization(R) if side == "left" else R
-            try:
-                G = eval_transfer(Rs, lam)
-            except PoleError:  # the pole guard's verdict, which the lazy read shares
-                assert math.isnan(rec.transfer_residual)
-                continue
-            Gx = G @ (rec.x.conj() if side == "left" else rec.x)
-            # both values carry the rounding of a solve with A(lambda)
-            A, D = eval_polymat(Rs.A, lam), eval_polymat(Rs.D, lam)
-            A_inv = np.linalg.inv(A)
-            error = (np.linalg.cond(A) * np.linalg.norm(Rs.C, 2) * np.linalg.norm(A_inv, 2)
-                     * np.linalg.norm(Rs.B, 2) + np.linalg.norm(D, 2))
-            assert abs(rec.transfer_residual - np.linalg.norm(Gx)) <= 1e-12 * error
         # away from the spectrum the residual is O(1): the same to 1e-12 at every scale
         lam = complex(rng.standard_normal(), rng.standard_normal())
         u = rng.standard_normal(R.dims.size) + 1j * rng.standard_normal(R.dims.size)
