@@ -11,12 +11,11 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 
 from . import spaces
 from .basis import BasisSpec, _change_basis, tilde_to_monomial
 from .core import BlockDims
-from .errors import PencilError
+from .errors import DimensionError, PencilError, SingularBasis
 from .io import (
     _json_tree,
     decode_matrix,
@@ -39,6 +38,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
+
+#: Input errors (exit 2): each verb checks shapes and bases before it computes.  Every
+#: other PencilError is a computation error (exit 3).
+_INPUT_ERRORS = (OSError, ValueError, DimensionError, SingularBasis)
 
 #: Build source -> builder of the pencil from the realization.
 _BUILDERS = {"c1": spaces.build_C1, "c2": spaces.build_C2, "dl": spaces.build_DL,
@@ -98,15 +101,6 @@ def _parse_basis(token: str, d: int):
     raise ValueError(f"unknown basis {token!r}")
 
 
-@contextmanager
-def _reading():
-    """Library errors raised while reading input are input errors (exit 2)."""
-    try:
-        yield
-    except PencilError as exc:
-        raise ValueError(str(exc)) from exc
-
-
 def _check_space(space: str, R) -> None:
     """The l1s identity pads the bottom partition with I_{r x n}: ``--space l1s`` needs r <= n."""
     if space == spaces.SPACE_L1S and R.r > R.n:
@@ -126,31 +120,28 @@ def cmd_build(args) -> int:
     if args.space is not None and args.source != "explicit":
         raise ValueError(f"--space applies to --source explicit only; "
                          f"{args.source!r} fixes its own space")
-    with _reading():  # an explicit pencil is input: the problem file fixes all of it
-        R, options = load_problem(args.input)
-        if args.source == "explicit":
-            _check_space(args.space, R)
-            P = _build_explicit(R, args.space or spaces.SPACE_L1G, options)
-    if args.source != "explicit":
+    R, options = load_problem(args.input)
+    if args.source == "explicit":
+        _check_space(args.space, R)
+        P = _build_explicit(R, args.space or spaces.SPACE_L1G, options)
+    else:
         P = _BUILDERS[args.source](R)
-    with _reading():  # a singular --basis, as on verify and solve
-        specs = _basis_specs(args.basis, P, R)
-        del R  # and the pencil it keeps: not read again while the file is written
-        if specs:
-            P = _change_basis(P, *specs, to_monomial=False)
+    specs = _basis_specs(args.basis, P, R)
+    del R  # and the pencil it keeps: not read again while the file is written
+    if specs:
+        P = _change_basis(P, *specs, to_monomial=False)
     save_pencil(args.output, P)
     return EXIT_PASS
 
 
 def _load_pencil_and_problem(args):
     """The pencil (in the monomial basis) and realization a verb works on."""
-    with _reading():
-        P = load_pencil(args.pencil)
-        R, _ = load_problem(args.input)
-        if P.dims != R.dims:
-            raise ValueError(f"pencil dims {P.dims} do not match problem dims {R.dims}")
-        specs = _basis_specs(args.basis, P, R)
-        return (tilde_to_monomial(P, *specs) if specs else P), R
+    P = load_pencil(args.pencil)
+    R, _ = load_problem(args.input)
+    if P.dims != R.dims:
+        raise ValueError(f"pencil dims {P.dims} do not match problem dims {R.dims}")
+    specs = _basis_specs(args.basis, P, R)
+    return (tilde_to_monomial(P, *specs) if specs else P), R
 
 
 def cmd_verify(args) -> int:
@@ -186,8 +177,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    with _reading():
-        R, _ = load_problem(args.input)
+    R, _ = load_problem(args.input)
     _check_space(args.space, R)
     passes = []
     for i in range(args.count):
@@ -206,9 +196,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    with _reading():
-        dims = BlockDims(args.m, args.n, args.k, args.r)
-    _emit(spaces.dim_space(dims))
+    _emit(spaces.dim_space(BlockDims(args.m, args.n, args.k, args.r)))
     return EXIT_PASS
 
 
@@ -269,7 +257,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError, PencilError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE if isinstance(exc, PencilError) else EXIT_INPUT
+        return EXIT_INPUT if isinstance(exc, _INPUT_ERRORS) else EXIT_COMPUTE
 
 
 if __name__ == "__main__":

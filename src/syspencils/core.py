@@ -354,7 +354,8 @@ def solve_state(R: Realization, lam, rhs: np.ndarray) -> np.ndarray:
 
 def solve_state_left(R: Realization, lam: complex, lhs: np.ndarray) -> np.ndarray:
     """Solve ``x A(lambda) = lhs`` (returns ``lhs A(lambda)^{-1}``): the transpose of
-    :func:`solve_state` of :func:`transpose_realization`, whose state matrix is A^T."""
+    :func:`solve_state` of :func:`transpose_realization`, whose state matrix is A^T: the pole
+    guard reads A^T's probe estimate, which near ``POLE_RTOL`` may disagree with A's."""
     return solve_state(transpose_realization(R), lam, lhs.T).T
 
 
@@ -364,29 +365,23 @@ def _kron_col(v: np.ndarray, K: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-3] + (-1, K.shape[-1]))
 
 
-def _solve_lift(R: Realization, lam, col: np.ndarray):
-    """``(F, G)``: ``F = A(lambda)^{-1} B col`` from one :func:`solve_state` and
-    ``G = C F + D(lambda) col``, ``G(lambda) col``, for a matrix ``col`` of r rows
-    (DimensionError otherwise).  A 1-D array of points stacks both along a first axis."""
-    if col.shape[0] != R.r:
-        raise DimensionError(f"vector length must be {R.r}, got {col.shape[0]}")
-    F = solve_state(R, lam, R.B @ col)
-    return F, R.C @ F + eval_polymat(R.D, lam) @ col
-
-
 def _assemble_lift(R: Realization, lam, F: np.ndarray, col: np.ndarray) -> np.ndarray:
     """The lift ``[Lambda_m kron F ; Lambda_k kron col]``, Lambda_d the powers of
-    :func:`lambda_vector`, from the ``F`` that :func:`_solve_lift` returns for ``col``."""
+    :func:`lambda_vector`; :func:`_lift` gives it for ``F = A(lambda)^{-1} B col``."""
     powers = lambda_vector(max(R.m, R.k), lam)
     return np.concatenate([_kron_col(powers[..., -R.m:], F), _kron_col(powers[..., -R.k:], col)], -2)
 
 
 def _lift(R: Realization, lam, col: np.ndarray):
-    """The lift of ``col`` and ``G(lambda) col``: :func:`_solve_lift`, then
-    :func:`_assemble_lift`.  A left null vector y of G is the conjugate of a right one of
-    G^T, so the left lift of y is the conjugated lift of conj(y) on the transpose."""
-    F, G = _solve_lift(R, lam, col)
-    return _assemble_lift(R, lam, F, col), G
+    """The lift of a matrix ``col`` of r rows (DimensionError otherwise) and ``G(lambda) col
+    = C F + D(lambda) col``: ``F = A(lambda)^{-1} B col`` from one :func:`solve_state`, then
+    :func:`_assemble_lift`.  A 1-D array of points stacks both along a first axis.  A left
+    null vector y of G is the conjugate of a right one of G^T, so the left lift of y is the
+    conjugated lift of conj(y) on the transpose."""
+    if col.shape[0] != R.r:
+        raise DimensionError(f"vector length must be {R.r}, got {col.shape[0]}")
+    F = solve_state(R, lam, R.B @ col)
+    return _assemble_lift(R, lam, F, col), R.C @ F + eval_polymat(R.D, lam) @ col
 
 
 def eval_transfer(R: Realization, lam) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -25,7 +25,6 @@ from .core import (
     Realization,
     _kept,
     _lift,
-    _solve_lift,
     build_system_matrix,
     eval_polymat,
     max_entry,
@@ -395,11 +394,7 @@ class SpectralReport:
     verdict: str = "fail"
     reason: str = ""
     ansatz_residual: float = np.inf
-    certificate_of: InitVar[tuple | None] = None
-
-    def __post_init__(self, certificate_of):
-        # kept under its own name, so dataclasses.replace carries it over
-        object.__setattr__(self, "certificate_of", certificate_of)
+    certificate_of: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def full_z_rank(self) -> tuple:
@@ -499,7 +494,8 @@ def lift_right(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
 
 def lift_left(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
     """Left analogue: ``[conj(Lambda) kron (-C A^{-1})* y ; conj(Lambda) kron y]``, the
-    conjugated :func:`lift_right` of ``conj(y)`` on :func:`transpose_realization`."""
+    conjugated :func:`lift_right` of ``conj(y)`` on :func:`transpose_realization`.  Its pole
+    guard reads A(lam0)^T: near ``POLE_RTOL`` it may disagree with :func:`core.eval_transfer`."""
     return lift_right(transpose_realization(R), np.conj(y), lam0).conj()
 
 
@@ -584,15 +580,15 @@ def recover_left(u: np.ndarray, dims: BlockDims, R: Realization,
 
 def f_map(R: Realization, x: np.ndarray, lam0: complex) -> np.ndarray:
     """Null-space map ``x -> [A(lam0)^{-1} B x ; x]``: the blocks of :func:`lift_right`
-    that multiply lam0^0, from the solve alone.
+    that multiply lam0^0.
 
     Sends right null vectors of G(lam0) to right null vectors of S(lam0).
     """
-    col = np.asarray(x, dtype=complex).reshape(-1, 1)
-    return np.concatenate([_solve_lift(R, lam0, col)[0][:, 0], col[:, 0]])
+    u, top = lift_right(R, x, lam0), R.dims.top
+    return np.concatenate([u[top - R.n:top], u[-R.r:]])
 
 
 def g_map(R: Realization, y: np.ndarray, lam0: complex) -> np.ndarray:
     """Null-space map ``y -> [(-C A(lam0)^{-1})* y ; y]`` for left vectors: the conjugated
-    :func:`f_map` of ``conj(y)`` on :func:`transpose_realization`."""
+    :func:`f_map` of ``conj(y)`` on :func:`transpose_realization` (pole guard on A(lam0)^T)."""
     return f_map(transpose_realization(R), np.conj(y), lam0).conj()

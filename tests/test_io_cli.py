@@ -37,6 +37,7 @@ from syspencils import (
     tilde_to_monomial,
     verify_linearization,
 )
+from syspencils import errors
 from syspencils.cli import main
 from syspencils.io import (
     decode_matrix,
@@ -1082,3 +1083,29 @@ def test_cli_input_checks(tmp_path, capsys, case, verbs, message):
                  else ["--pencil", str(pen), "--input", str(prob)])
         assert main([verb, *files, "--basis", basis]) == 2, verb
         assert f"error: {message}" in capsys.readouterr().err, verb
+
+
+_INPUT_CLASSES = ("OSError", "ValueError", "DimensionError", "SingularBasis")
+_RAISED = [OSError, ValueError] + [c for c in vars(errors).values()
+                                   if isinstance(c, type) and issubclass(c, errors.PencilError)]
+
+
+@pytest.mark.parametrize("callee", ["load_problem", "verify_linearization"])
+@pytest.mark.parametrize("exc", _RAISED, ids=lambda c: c.__name__)
+def test_cli_exit_code_follows_the_errors_class(tmp_path, monkeypatch, capsys, callee, exc):
+    # exit 2 for an input error, 3 for any other library error, wherever it is raised:
+    # load_problem reads the input, verify_linearization computes
+    import syspencils.cli as cli
+
+    prob, pen = tmp_path / "p.json", tmp_path / "c1.json"
+    _write_problem(prob, _r1())
+    assert main(["build", "--input", str(prob), "--output", str(pen), "--source", "c1"]) == 0
+
+    def fail(*args, **kwargs):
+        raise exc(f"raised {exc.__name__}")
+
+    monkeypatch.setattr(cli, callee, fail)
+    capsys.readouterr()
+    code = main(["verify", "--pencil", str(pen), "--input", str(prob)])
+    assert code == (2 if exc.__name__ in _INPUT_CLASSES else 3)
+    assert capsys.readouterr() == ("", f"error: raised {exc.__name__}\n")

@@ -29,6 +29,7 @@ from syspencils import (
     DimensionError,
     InterpolationError,
     MatrixPolynomial,
+    PoleError,
     Realization,
     SingularSystem,
     ZeroAnsatz,
@@ -998,6 +999,28 @@ def test_f_and_g_maps_equal_the_lambda0_blocks_of_the_lifts(m, k):
         lifted = lift(R, x, lam0)
         assert np.array_equal(null_map(R, x, lam0),
                               np.concatenate([lifted[t - R.n:t], lifted[-R.r:]]))
+
+
+def test_the_null_space_maps_are_bitwise_the_lambda0_blocks_on_random_dims():
+    rng = np.random.default_rng(43)
+    draws = [tuple(int(d) for d in rng.integers(1, 4, size=4)) for _ in range(40)]
+    assert any(r > n for _, n, _, r in draws) and any(m != k for m, _, k, _ in draws)
+    for m, n, k, r in draws:
+        R = random_realization(rng, m, n, k, r)
+        x, lam0, t = cgauss(rng, r), complex(cgauss(rng)) * 10.0 ** rng.uniform(-2, 2), R.dims.top
+        for null_map, lift in ((f_map, lift_right), (g_map, lift_left)):
+            lifted = lift(R, x, lam0)
+            blocks = np.concatenate([lifted[t - n:t], lifted[-r:]])
+            assert null_map(R, x, lam0).tobytes() == blocks.tobytes(), (m, n, k, r)
+
+
+@pytest.mark.parametrize("call", [f_map, g_map, lift_right, lift_left],
+                         ids=lambda f: f.__name__)
+def test_the_null_space_maps_and_lifts_raise_at_a_pole(call):
+    R = Realization(A=MatrixPolynomial.from_scalars(-1, 1), B=np.array([[1.0]]),
+                    C=np.array([[2.0]]), D=MatrixPolynomial.from_scalars(0, 1))
+    with pytest.raises(PoleError):
+        call(R, np.array([1.0]), 1.0)
 
 
 @pytest.mark.parametrize("call", ["recover_right", "recover_left", "lift_right",
